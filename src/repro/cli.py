@@ -358,7 +358,7 @@ def cmd_recommend(args) -> int:
             _result(f"  {knob} = {value}")
         cache = "hit" if rec.template_cache_hit else "cold encode"
         _result(f"predicted time: {rec.predicted_time_s:.1f}s "
-                f"(ranked {len(rec.ranking)} candidates in {rec.overhead_s * 1e3:.0f} ms, "
+                f"(sampled and ranked {len(rec.ranking)} candidates in {rec.overhead_s * 1e3:.0f} ms, "
                 f"template cache: {cache})")
     return 0
 

@@ -6,6 +6,10 @@ application) to a promising "mean value" (Eq. 6).  The search region is
 standard deviation of knob d over the top-40 % fastest training instances.
 Candidates are then sampled uniformly inside the region, so the recommender
 only has to rank a small, promising set.
+
+The 16 forests are kept as one :class:`~repro.ml.tree.FlatTrees` node-array
+set, so a region is one vectorised walk of all 16 x ``n_estimators`` trees
+and a batch of candidates is one ``(n, 16)`` uniform draw.
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..ml.forest import RandomForestRegressor
-from ..sparksim.config import KNOB_SPECS, NUM_KNOBS, SparkConf
+from ..ml.tree import FlatTrees
+from ..sparksim.config import KNOB_HIGHS, KNOB_LOWS, NUM_KNOBS, SparkConf
 from ..sparksim.eventlog import AppRun
 
 TOP_FRACTION = 0.4  # paper: top 40 % instances with lowest execution time
@@ -42,7 +47,10 @@ class AdaptiveCandidateGenerator:
         self.n_estimators = n_estimators
         self.max_depth = max_depth
         self.seed = seed
-        self.models_: List[RandomForestRegressor] = []
+        #: Every knob's forest in one node-array set; knob ``d``'s trees
+        #: start at ``roots_[d]`` (shape ``(NUM_KNOBS, n_estimators)``).
+        self.nodes_: Optional[FlatTrees] = None
+        self.roots_: np.ndarray = np.zeros((0, 0), dtype=np.int64)
         self.sigma_: np.ndarray = np.zeros(NUM_KNOBS)
         self.featurizer_: Optional[_AppFeaturizer] = None
 
@@ -59,16 +67,17 @@ class AdaptiveCandidateGenerator:
         knob_matrix = np.stack([r.conf.to_vector() for r in good])
         self.sigma_ = knob_matrix.std(axis=0)
         # Guard degenerate spans: fall back to 10 % of the knob range.
-        ranges = np.array([spec.high - spec.low for spec in KNOB_SPECS])
+        ranges = KNOB_HIGHS - KNOB_LOWS
         self.sigma_ = np.where(self.sigma_ < 1e-9, 0.1 * ranges, self.sigma_)
 
-        self.models_ = []
-        for d in range(NUM_KNOBS):
-            model = RandomForestRegressor(
+        forests = [
+            RandomForestRegressor(
                 n_estimators=self.n_estimators, max_depth=self.max_depth, seed=self.seed + d
-            )
-            model.fit(X, knob_matrix[:, d])
-            self.models_.append(model)
+            ).fit(X, knob_matrix[:, d])
+            for d in range(NUM_KNOBS)
+        ]
+        self.nodes_, offsets = FlatTrees.concat([f.nodes_ for f in forests])
+        self.roots_ = np.stack([off + f.roots_ for off, f in zip(offsets, forests)])
         return self
 
     @staticmethod
@@ -86,28 +95,31 @@ class AdaptiveCandidateGenerator:
         return selected
 
     # ------------------------------------------------------------------
-    def region(self, app_name: str, datasize_rows: float) -> List[Tuple[float, float]]:
-        """The per-knob search interval [center - sigma, center + sigma]."""
-        if not self.models_:
+    def _centers(self, app_name: str, datasize_rows: float) -> np.ndarray:
+        """Every knob's RFR prediction (Eq. 6): its trees' mean leaf value."""
+        if self.nodes_ is None:
             raise RuntimeError("candidate generator is not fitted")
         x = self.featurizer_.vector(app_name, datasize_rows)[None, :]
-        bounds: List[Tuple[float, float]] = []
-        for spec, model, sigma in zip(KNOB_SPECS, self.models_, self.sigma_):
-            center = float(model.predict(x)[0])
-            low = max(spec.low, center - sigma)
-            high = min(spec.high, center + sigma)
-            if low > high:
-                low, high = spec.low, spec.high
-            bounds.append((low, high))
-        return bounds
+        starts = self.roots_.ravel()
+        leaves = self.nodes_.leaf_values(x, np.zeros(len(starts), dtype=np.int64), starts)
+        # Reduce each knob's trees as one C-contiguous row: the summation
+        # order of a per-forest ``(n_trees, 1)`` stack, so seeded regions
+        # stay bit-identical to per-forest ``RandomForestRegressor.predict``.
+        return leaves.reshape(self.roots_.shape).mean(axis=1)
+
+    def region(self, app_name: str, datasize_rows: float) -> List[Tuple[float, float]]:
+        """The per-knob search interval [center - sigma, center + sigma]."""
+        centers = self._centers(app_name, datasize_rows)
+        lows = np.maximum(KNOB_LOWS, centers - self.sigma_)
+        highs = np.minimum(KNOB_HIGHS, centers + self.sigma_)
+        empty = lows > highs
+        lows = np.where(empty, KNOB_LOWS, lows)
+        highs = np.where(empty, KNOB_HIGHS, highs)
+        return list(zip(lows.tolist(), highs.tolist()))
 
     def predict_point(self, app_name: str, datasize_rows: float) -> SparkConf:
         """The bare-RFR competitor: round the per-knob centers to a conf."""
-        if not self.models_:
-            raise RuntimeError("candidate generator is not fitted")
-        x = self.featurizer_.vector(app_name, datasize_rows)[None, :]
-        vec = np.array([float(m.predict(x)[0]) for m in self.models_])
-        return SparkConf.from_vector(vec)
+        return SparkConf.from_vector(self._centers(app_name, datasize_rows))
 
     def generate(
         self,
@@ -116,10 +128,12 @@ class AdaptiveCandidateGenerator:
         n_candidates: int,
         rng: np.random.Generator,
     ) -> List[SparkConf]:
-        """Sample ``n_candidates`` configurations inside the region."""
-        bounds = self.region(app_name, datasize_rows)
-        out: List[SparkConf] = []
-        for _ in range(n_candidates):
-            vec = np.array([rng.uniform(low, high) for low, high in bounds])
-            out.append(SparkConf.from_vector(vec))
-        return out
+        """Sample ``n_candidates`` configurations inside the region.
+
+        One ``(n, 16)`` draw consumes ``rng`` candidate-major, exactly like
+        a per-candidate, per-knob loop of scalar draws.
+        """
+        lows, highs = np.array(self.region(app_name, datasize_rows)).T
+        return SparkConf.from_matrix(
+            rng.uniform(lows, highs, size=(n_candidates, NUM_KNOBS))
+        )

@@ -392,7 +392,9 @@ class LITE:
                         derive(self.config.seed, "recommend", app_name, str(seq))
                     )
             per_query: List[List[SparkConf]] = []
+            generate_s: List[float] = []
             for (feats, n), rng in zip(prepared, rngs):
+                t0 = time.perf_counter()
                 candidates = self.candidate_generator.generate(
                     app_name, float(feats[0]), n, rng
                 )
@@ -407,6 +409,7 @@ class LITE:
                     # submit time — widen to the full knob ranges instead.
                     hostable = self._sample_hostable(cluster, n, rng)
                 per_query.append(hostable)
+                generate_s.append(time.perf_counter() - t0)
             templates = self.stage_templates(app_name)
             encoded, cache_hit, encode_s = self._encoded_with_status(app_name)
             recs = self.recommender.rank_many(
@@ -415,7 +418,10 @@ class LITE:
             )
             with self._lock:
                 probe_s = self._probe_overhead.pop(app_name, 0.0)
-            for i, rec in enumerate(recs):
+            for i, (rec, gen_s) in enumerate(zip(recs, generate_s)):
+                # Candidate generation (region, sampling, hostable filter,
+                # full-range fallback) is this query's own tuning cost.
+                rec.overhead_s += gen_s
                 # A cold encode (first use, or a fit/adaptive-update version
                 # bump) is real serving latency but not ranking latency:
                 # report it on its own field instead of folding it into

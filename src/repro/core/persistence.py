@@ -48,7 +48,11 @@ FORMAT = "repro-lite"
 # transfer warm-start config/ledger.  A v6 monitor's window contents and
 # lifetime count carry over into the aggregate; its pairs carried no app
 # key, so the per-app windows start empty.
-VERSION = 7
+# v8: fitted trees became flat node arrays.  The candidate generator's 16
+# per-knob forests of ``_Node`` graphs (each tree also pickling its own
+# ``np.random.Generator``) became one node-array set with a root offset
+# per tree.
+VERSION = 8
 
 
 def save_lite(
@@ -204,12 +208,31 @@ def _migrate_v6_to_v7(payload: Dict[str, object]) -> Dict[str, object]:
     return {**payload, "version": 7}
 
 
+def _migrate_v7_to_v8(payload: Dict[str, object]) -> Dict[str, object]:
+    """v7 -> v8: flatten the candidate generator's ``_Node`` forests.
+
+    Every v7 tree's root graph becomes preorder node arrays (root at 0),
+    so each tree's offset in the concatenation is its root.  Idempotent:
+    a generator that already holds node arrays is left as it is.
+    """
+    from ..ml.tree import FlatTrees
+
+    acg = payload["lite"].candidate_generator
+    forests = acg.__dict__.pop("models_", None)
+    if forests is not None:
+        trees = [tree._root.flatten() for forest in forests for tree in forest.trees_]
+        acg.nodes_, offsets = FlatTrees.concat(trees)
+        acg.roots_ = offsets.reshape(len(forests), -1)
+    return {**payload, "version": 8}
+
+
 _MIGRATIONS: Dict[int, Callable[[Dict[str, object]], Dict[str, object]]] = {
     2: _migrate_v2_to_v3,
     3: _migrate_v3_to_v4,
     4: _migrate_v4_to_v5,
     5: _migrate_v5_to_v6,
     6: _migrate_v6_to_v7,
+    7: _migrate_v7_to_v8,
 }
 
 

@@ -41,7 +41,10 @@ class Recommendation:
     conf: SparkConf
     predicted_time_s: float
     ranking: List[Tuple[SparkConf, float]]   # (conf, predicted app time) ascending
-    overhead_s: float                        # wall-clock spent ranking
+    #: Wall-clock tuning overhead (paper Sec. V-I): ranking, plus candidate
+    #: generation and the hostability filter when produced by
+    #: ``LITE.recommend_many``.  Encode and probe costs are reported apart.
+    overhead_s: float
     probe_overhead_s: float = 0.0            # cold-start instrumentation cost
     #: Whether the serving template cache served this call (None when the
     #: recommendation was produced by a bare ``rank`` without the cache).

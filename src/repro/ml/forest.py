@@ -16,7 +16,7 @@ import numpy as np
 
 from ..utils.rng import get_rng
 
-from .tree import DecisionTreeRegressor
+from .tree import DecisionTreeRegressor, FlatTrees
 
 
 class RandomForestRegressor:
@@ -33,7 +33,9 @@ class RandomForestRegressor:
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self.seed = seed
-        self.trees_: list = []
+        #: All trees as one node-array set; tree ``t`` starts at ``roots_[t]``.
+        self.nodes_: Optional[FlatTrees] = None
+        self.roots_: np.ndarray = np.zeros(0, dtype=np.int64)
         self.n_features_: int = 0
 
     def _resolve_max_features(self, d: int) -> Optional[int]:
@@ -55,7 +57,7 @@ class RandomForestRegressor:
         self.n_features_ = X.shape[1]
         rng = get_rng(self.seed)
         max_features = self._resolve_max_features(X.shape[1])
-        self.trees_ = []
+        trees = []
         n = len(X)
         for _ in range(self.n_estimators):
             idx = rng.integers(0, n, size=n)  # bootstrap sample
@@ -63,21 +65,28 @@ class RandomForestRegressor:
                 max_depth=self.max_depth,
                 min_samples_leaf=self.min_samples_leaf,
                 max_features=max_features,
-                rng=get_rng(rng.integers(0, 2**31)),
+                seed=int(rng.integers(0, 2**31)),
             )
-            tree.fit(X[idx], y[idx])
-            self.trees_.append(tree)
+            trees.append(tree.fit(X[idx], y[idx]).nodes_)
+        self.nodes_, self.roots_ = FlatTrees.concat(trees)
         return self
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        if not self.trees_:
+    def _tree_predictions(self, X: np.ndarray) -> np.ndarray:
+        """Per-tree predictions, shape ``(n_trees, n_rows)``."""
+        if self.nodes_ is None:
             raise RuntimeError("forest is not fitted")
-        preds = np.stack([tree.predict(X) for tree in self.trees_], axis=0)
-        return preds.mean(axis=0)
+        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        if X.shape[1] != self.n_features_:
+            raise ValueError(f"expected {self.n_features_} features, got {X.shape[1]}")
+        n_trees, n_rows = len(self.roots_), len(X)
+        leaves = self.nodes_.leaf_values(
+            X, np.tile(np.arange(n_rows), n_trees), np.repeat(self.roots_, n_rows)
+        )
+        return leaves.reshape(n_trees, n_rows)
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        return self._tree_predictions(X).mean(axis=0)
 
     def predict_std(self, X: np.ndarray) -> np.ndarray:
         """Std-dev of per-tree predictions — a cheap uncertainty estimate."""
-        if not self.trees_:
-            raise RuntimeError("forest is not fitted")
-        preds = np.stack([tree.predict(X) for tree in self.trees_], axis=0)
-        return preds.std(axis=0)
+        return self._tree_predictions(X).std(axis=0)

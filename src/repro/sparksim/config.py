@@ -43,9 +43,9 @@ class KnobSpec:
 
     def clip(self, value: Number) -> Number:
         """Clamp into range (used when tuners propose out-of-range values)."""
-        if self.kind == "bool":
-            return bool(round(float(value)))
         v = float(np.clip(float(value), self.low, self.high))
+        if self.kind == "bool":
+            return bool(round(v))
         return int(round(v)) if self.kind == "int" else v
 
     def sample(self, rng: np.random.Generator) -> Number:
@@ -95,6 +95,10 @@ KNOB_NAMES: Tuple[str, ...] = tuple(spec.name for spec in KNOB_SPECS)
 KNOB_BY_NAME: Dict[str, KnobSpec] = {spec.name: spec for spec in KNOB_SPECS}
 NUM_KNOBS = len(KNOB_SPECS)
 
+KNOB_LOWS = np.array([spec.low for spec in KNOB_SPECS], dtype=np.float64)
+KNOB_HIGHS = np.array([spec.high for spec in KNOB_SPECS], dtype=np.float64)
+_KINDS = tuple(spec.kind for spec in KNOB_SPECS)
+
 
 class SparkConf:
     """A full assignment of the 16 knobs.
@@ -133,9 +137,43 @@ class SparkConf:
         vector = np.asarray(vector, dtype=np.float64)
         if vector.shape != (NUM_KNOBS,):
             raise ValueError(f"expected vector of shape ({NUM_KNOBS},), got {vector.shape}")
-        return SparkConf(
-            {spec.name: spec.clip(v) for spec, v in zip(KNOB_SPECS, vector)}
-        )
+        return SparkConf.from_matrix(vector[None, :])[0]
+
+    @staticmethod
+    def from_matrix(matrix: np.ndarray) -> List["SparkConf"]:
+        """One conf per row of an ``(n, 16)`` matrix (bools as 0/1).
+
+        Every value is clipped into its knob's range, then int and bool
+        knobs are rounded half-to-even (``np.rint``, like ``round``).  The
+        whole matrix is range-checked once, so a NaN raises ``ValueError``
+        and the rows need no per-knob validation.
+        """
+        matrix = np.asarray(matrix, dtype=np.float64)
+        if matrix.ndim != 2 or matrix.shape[1] != NUM_KNOBS:
+            raise ValueError(f"expected a matrix of shape (n, {NUM_KNOBS}), got {matrix.shape}")
+        clipped = np.clip(matrix, KNOB_LOWS, KNOB_HIGHS)
+        in_range = (clipped >= KNOB_LOWS) & (clipped <= KNOB_HIGHS)
+        if not in_range.all():
+            row, col = np.argwhere(~in_range)[0]
+            raise ValueError(
+                f"{KNOB_NAMES[col]}={matrix[row, col]} in row {row} out of range "
+                f"[{KNOB_LOWS[col]}, {KNOB_HIGHS[col]}]"
+            )
+        rounded = np.rint(clipped)
+        columns = [
+            rounded[:, j].astype(np.int64).tolist() if kind == "int"
+            else (rounded[:, j] != 0.0).tolist() if kind == "bool"
+            else clipped[:, j].tolist()
+            for j, kind in enumerate(_KINDS)
+        ]
+        return [SparkConf._trusted(dict(zip(KNOB_NAMES, row))) for row in zip(*columns)]
+
+    @staticmethod
+    def _trusted(values: Dict[str, Number]) -> "SparkConf":
+        """Wrap a complete, already-validated assignment without re-checking it."""
+        conf = object.__new__(SparkConf)
+        object.__setattr__(conf, "_values", values)
+        return conf
 
     @staticmethod
     def from_unit_vector(unit: Sequence[float]) -> "SparkConf":

@@ -26,7 +26,7 @@ def small_corpus_module():
 
 class TestFit:
     def test_one_model_per_knob(self, fitted_acg):
-        assert len(fitted_acg.models_) == NUM_KNOBS
+        assert fitted_acg.roots_.shape == (NUM_KNOBS, fitted_acg.n_estimators)
         assert fitted_acg.sigma_.shape == (NUM_KNOBS,)
 
     def test_sigma_positive(self, fitted_acg):

@@ -72,6 +72,27 @@ class TestRecommendation:
         rec = trained_lite.recommend(wl.name, wl.data_spec("test").features(), CLUSTER_C)
         assert isinstance(rec.conf, SparkConf)
 
+    def test_overhead_includes_candidate_generation(self, trained_lite, monkeypatch):
+        """Sec. V-I overhead is the whole tuning cost, not just ranking."""
+        import time
+
+        from repro.core.lite import RecommendQuery
+
+        acg = trained_lite.candidate_generator
+        real_generate = acg.generate
+
+        def slow_generate(*args, **kwargs):
+            time.sleep(0.05)
+            return real_generate(*args, **kwargs)
+
+        monkeypatch.setattr(acg, "generate", slow_generate)
+        d = get_workload("PageRank").data_spec("valid").features()
+        recs = trained_lite.recommend_many(
+            "PageRank", [RecommendQuery(d, 5, np.random.default_rng(s)) for s in (1, 2)],
+            CLUSTER_C,
+        )
+        assert all(rec.overhead_s >= 0.05 for rec in recs)
+
     def test_rng_controls_candidates(self, trained_lite):
         wl = get_workload("WordCount")
         d = wl.data_spec("valid").features()

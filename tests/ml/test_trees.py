@@ -35,8 +35,8 @@ class TestDecisionTree:
     def test_finds_correct_split_feature(self):
         X, y = step_data()
         tree = DecisionTreeRegressor(max_depth=1).fit(X, y)
-        assert tree._root.feature == 0
-        assert abs(tree._root.threshold - 0.2) < 0.1
+        assert tree.nodes_.feature[0] == 0
+        assert abs(tree.nodes_.threshold[0] - 0.2) < 0.1
 
     def test_depth_limit_respected(self):
         X, y = linear_data()
@@ -47,7 +47,7 @@ class TestDecisionTree:
         X = np.ones((10, 2))
         y = np.full(10, 3.0)
         tree = DecisionTreeRegressor().fit(X, y)
-        assert tree._root.is_leaf
+        assert len(tree.nodes_.value) == 1 and tree.nodes_.left[0] == -1
         np.testing.assert_allclose(tree.predict(X), 3.0)
 
     def test_min_samples_leaf(self):

@@ -94,6 +94,44 @@ class TestSparkConf:
         with pytest.raises(ValueError):
             SparkConf.from_vector(np.zeros(5))
 
+    def test_from_vector_clips_bools_before_rounding(self):
+        name = "spark.shuffle.compress"
+        col = KNOB_NAMES.index(name)
+        vec = SparkConf().to_vector()
+        vec[col] = -0.7
+        assert SparkConf.from_vector(vec)[name] is False
+        vec[col] = 1.7
+        assert SparkConf.from_vector(vec)[name] is True
+        assert KNOB_BY_NAME[name].clip(-0.7) is False
+
+    def test_nan_row_raises(self):
+        vec = SparkConf().to_vector()
+        vec[KNOB_NAMES.index("spark.memory.fraction")] = np.nan
+        with pytest.raises(ValueError, match="spark.memory.fraction"):
+            SparkConf.from_vector(vec)
+        with pytest.raises(ValueError):
+            SparkConf.from_matrix(np.stack([SparkConf().to_vector(), vec]))
+
+    def test_from_matrix_shape_checked(self):
+        with pytest.raises(ValueError):
+            SparkConf.from_matrix(np.zeros(NUM_KNOBS))
+        assert SparkConf.from_matrix(np.zeros((0, NUM_KNOBS))) == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(
+        st.lists(st.floats(-1e4, 1e4), min_size=NUM_KNOBS, max_size=NUM_KNOBS),
+        min_size=1, max_size=5,
+    ))
+    def test_from_matrix_matches_per_knob_clip(self, rows):
+        """Each row equals a validated conf of per-knob clips, types included."""
+        confs = SparkConf.from_matrix(np.array(rows))
+        for row, conf in zip(rows, confs):
+            expected = SparkConf({s.name: s.clip(v) for s, v in zip(KNOB_SPECS, row)})
+            assert conf == expected
+            assert [type(conf[n]) for n in KNOB_NAMES] == [
+                type(expected[n]) for n in KNOB_NAMES]
+            assert list(conf.as_dict()) == list(KNOB_NAMES)
+
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.floats(0, 1), min_size=NUM_KNOBS, max_size=NUM_KNOBS))
     def test_from_unit_vector_always_valid(self, unit):
