@@ -38,7 +38,6 @@ SUBSTRATE_FILES: Tuple[str, ...] = (
     "repro/nn/functional.py",
     "repro/nn/optim.py",
     "repro/nn/module.py",
-    "repro/nn/parallel.py",
 )
 
 #: Module paths (suffix match) that *are* the float32 serving boundary: all

@@ -58,26 +58,11 @@ class NECSConfig:
     code_encoder: str = "cnn"      # "cnn" | "lstm" | "transformer" | "none"
     use_dag: bool = True
     use_dag_oov: bool = True       # False = the Cold-UNK ablation
-    #: Batched training engine (both default on; the ``False`` settings are
-    #: the pre-batching reference paths kept for equivalence tests and the
-    #: training-throughput benchmark).
-    dedup_templates: bool = True   # encode each unique stage template once
-    batched_gcn: bool = True       # block-diagonal packed GCN propagation
     epochs: int = 18
     batch_size: int = 32
     lr: float = 2e-3
     grad_clip: float = 5.0
     seed: int = 0
-    #: Data-parallel training (DESIGN.md §15).  ``0`` keeps the legacy
-    #: single-process engine; ``>= 1`` selects the sharded engine — ``1``
-    #: runs the shards in-process, ``N`` forks N worker processes.  Loss
-    #: curves and final weights are bit-identical across worker counts
-    #: (canonical-order gradient reduction), though not to ``0``'s
-    #: whole-batch engine (different float summation order).
-    train_workers: int = 0
-    #: Rows per gradient shard for the data-parallel engine.  The shard
-    #: plan depends only on this and the batch — never the worker count.
-    train_shard_rows: int = 8
     #: Tower dtype for the ``predict_encoded`` serving fast path (see
     #: :mod:`repro.core.serving_dtype`); ``"float64"`` opts out of the
     #: float32 cast.  Training is float64 regardless.
@@ -138,44 +123,35 @@ class NECSNetwork(nn.Module):
         """``graphs`` is a list of ``(V, A)`` pairs or a prebuilt GraphPack."""
         if isinstance(graphs, nn.GraphPack):
             return self.gcn.forward_packed(graphs)
-        if self.config.batched_gcn:
-            return self.gcn.forward_batch(graphs)
-        pairs = [(nn.Tensor(v), a) for v, a in graphs]
-        return self.gcn.forward_batch_pergraph(pairs)
+        return self.gcn.forward_batch(graphs)
 
     def _features(
         self,
         numeric: np.ndarray,
         code_ids: Optional[np.ndarray],
-        graphs: Optional[Sequence[Tuple[np.ndarray, np.ndarray]]],
-        template_index: Optional[np.ndarray] = None,
+        graphs,
+        template_index: np.ndarray,
     ) -> nn.Tensor:
         """Assemble ``concat(d/e/o, h_code, h_DAG)`` rows.
 
-        With ``template_index``, ``code_ids``/``graphs`` hold one entry per
-        *unique* stage template and ``template_index[i]`` names the template
-        of batch row ``i``: the CNN/GCN run once per unique template and an
-        autograd ``gather`` fans the embeddings back out to batch order, so
-        duplicate templates still receive (scatter-added) gradients.
+        ``code_ids``/``graphs`` hold one entry per *unique* stage template
+        and ``template_index[i]`` names the template of batch row ``i``: the
+        CNN/GCN run once per unique template and an autograd ``gather`` fans
+        the embeddings back out to batch order, so duplicate templates still
+        receive (scatter-added) gradients.
         """
         parts = [nn.Tensor(numeric)]
         if self.config.code_encoder != "none":
-            h_code = self._encode_code(code_ids)
-            if template_index is not None:
-                h_code = nn.gather(h_code, template_index)
-            parts.append(h_code)
+            parts.append(nn.gather(self._encode_code(code_ids), template_index))
         if self.config.use_dag:
-            h_dag = self._encode_dags(graphs)
-            if template_index is not None:
-                h_dag = nn.gather(h_dag, template_index)
-            parts.append(h_dag)
+            parts.append(nn.gather(self._encode_dags(graphs), template_index))
         return nn.concat(parts, axis=-1) if len(parts) > 1 else parts[0]
 
-    def forward(self, numeric, code_ids=None, graphs=None, template_index=None) -> nn.Tensor:
+    def forward(self, numeric, code_ids, graphs, template_index) -> nn.Tensor:
         x = self._features(numeric, code_ids, graphs, template_index)
         return self.mlp(x).reshape(-1)
 
-    def forward_with_embedding(self, numeric, code_ids=None, graphs=None, template_index=None):
+    def forward_with_embedding(self, numeric, code_ids, graphs, template_index):
         """Return ``(prediction, h)`` where ``h`` is the concatenation of
         the tower MLP's hidden activations (the paper's h_i, Sec. IV-B)."""
         x = self._features(numeric, code_ids, graphs, template_index)
@@ -300,27 +276,12 @@ class NECSEstimator:
     def _numeric_raw(inst: StageInstance) -> np.ndarray:
         return numeric_features(inst)
 
-    def _encode(self, instances: Sequence[StageInstance], fit: bool = False):
-        numeric = np.stack([self._numeric_raw(i) for i in instances])
-        if fit:
-            self.numeric_scaler.fit(numeric)
-        numeric = self.numeric_scaler.transform(numeric)
-
-        code_ids = None
-        if self.config.code_encoder != "none":
-            code_ids = self.tokenizer.encode_batch([i.code_tokens for i in instances])
-
-        graphs = None
-        if self.config.use_dag:
-            graphs = [self.dag_encoder.encode(i.dag_labels, i.dag_edges) for i in instances]
-        return numeric, code_ids, graphs
-
     def _encode_dedup(self, instances: Sequence[StageInstance], fit: bool = False) -> DedupEncoding:
         """Encode a batch, tokenizing/encoding each unique template once.
 
         Templates are keyed by *content* — the code-token sequence, DAG
         labels and DAG edges — so the dedup is exact: two rows share an
-        encoding if and only if the naive path would have produced
+        encoding if and only if per-row encoding would have produced
         identical ``code_ids`` rows and identical graphs for them.
         """
         numeric = np.stack([self._numeric_raw(i) for i in instances])
@@ -390,40 +351,31 @@ class NECSEstimator:
             if cfg.use_dag:
                 self.dag_encoder.fit([i.dag_labels for i in instances])
 
-            template_index = None
-            if cfg.dedup_templates:
-                enc = self._encode_dedup(instances, fit=True)
-                numeric, code_ids, graphs = enc.numeric, enc.code_ids, enc.graphs
-                template_index = enc.template_index
-                obs.gauge(obsn.GAUGE_UNIQUE_TEMPLATES).set(enc.n_unique)
-                obs.gauge(obsn.GAUGE_DEDUP_RATIO).set(enc.n_unique / len(instances))
-                if sp:
-                    sp.set(n_unique=enc.n_unique,
-                           dedup_ratio=round(enc.n_unique / len(instances), 4))
-            else:
-                numeric, code_ids, graphs = self._encode(instances, fit=True)
+            enc = self._encode_dedup(instances, fit=True)
+            obs.gauge(obsn.GAUGE_UNIQUE_TEMPLATES).set(enc.n_unique)
+            obs.gauge(obsn.GAUGE_DEDUP_RATIO).set(enc.n_unique / len(instances))
+            if sp:
+                sp.set(n_unique=enc.n_unique,
+                       dedup_ratio=round(enc.n_unique / len(instances), 4))
             targets = self._encode_targets(instances, fit=True)
-            numeric_dim = numeric.shape[1]
             self.network = NECSNetwork(
                 cfg,
                 vocab_size=self.tokenizer.vocab_size if cfg.code_encoder != "none" else 0,
                 dag_dim=self.dag_encoder.dim if cfg.use_dag else 0,
-                numeric_dim=numeric_dim,
+                numeric_dim=enc.numeric.shape[1],
             )
-            self._train_loop(numeric, code_ids, graphs, targets, verbose, template_index)
+            self._train_loop(enc, targets, verbose)
             self.bump_version()
             if sp:
                 sp.set(n_instances=len(instances), epochs=cfg.epochs,
                        final_loss=round(self.train_losses_[-1], 6))
         return self
 
-    def _train_loop(
-        self, numeric, code_ids, graphs, targets, verbose: bool, template_index=None
-    ) -> None:
-        """Minibatch SGD; with ``template_index``, every step encodes the
-        *full* set of unique templates (one CNN pass over all ``U`` code
-        rows, one packed-GCN pass over all ``U`` graphs) and gathers batch
-        rows out by ``template_index[idx]``.
+    def _train_loop(self, enc: DedupEncoding, targets: np.ndarray, verbose: bool) -> None:
+        """Minibatch SGD; every step encodes the *full* set of unique
+        templates (one CNN pass over all ``U`` code rows, one packed-GCN
+        pass over all ``U`` graphs) and gathers batch rows out by
+        ``template_index[idx]``.
 
         Encoding all templates rather than the batch's subset looks like
         extra work but wins twice: the graph pack (concatenation,
@@ -431,25 +383,17 @@ class NECSEstimator:
         fit instead of once per step, and there is no per-step
         ``np.unique``/re-indexing.  Templates absent from a batch receive
         exact-zero gradient through the gather's scatter-add backward, so
-        the parameter updates match the naive path's.
-
-        The RNG draw sequence is identical in both modes, so the dedup path
-        sees the exact same batches as the naive path — the loss curves are
-        directly comparable.
+        the parameter updates match per-row encoding's (the test oracle in
+        ``tests/necs_oracle.py`` checks the whole trajectory).
         """
         cfg = self.config
-        if int(getattr(cfg, "train_workers", 0) or 0) >= 1:
-            self._train_loop_parallel(
-                numeric, code_ids, graphs, targets, verbose, template_index
-            )
-            return
         params = self.network.parameters()
         optimizer = nn.Adam(params, lr=cfg.lr)
         rng = get_rng(cfg.seed + 1)
         n = len(targets)
         pack = None
-        if template_index is not None and graphs is not None:
-            pack = nn.pack_graphs(graphs)
+        if enc.graphs is not None:
+            pack = nn.pack_graphs(enc.graphs)
             obs.gauge(obsn.GAUGE_PACKED_NODES).set(pack.features.shape[0])
         self.train_losses_ = []
         for epoch in range(cfg.epochs):
@@ -459,13 +403,8 @@ class NECSEstimator:
             batches = 0
             for start in range(0, n, cfg.batch_size):
                 idx = order[start : start + cfg.batch_size]
-                if template_index is not None:
-                    pred = self.network(numeric[idx], code_ids, pack,
-                                        template_index=template_index[idx])
-                else:
-                    batch_graphs = [graphs[i] for i in idx] if graphs is not None else None
-                    batch_codes = code_ids[idx] if code_ids is not None else None
-                    pred = self.network(numeric[idx], batch_codes, batch_graphs)
+                pred = self.network(enc.numeric[idx], enc.code_ids, pack,
+                                    enc.template_index[idx])
                 loss = nn.mse_loss(pred, targets[idx])
                 optimizer.zero_grad()
                 loss.backward()
@@ -481,88 +420,6 @@ class NECSEstimator:
                 logging.INFO if verbose else logging.DEBUG,
                 "epoch %d: loss %.4f", epoch, self.train_losses_[-1],
             )
-
-    def _make_shard_fn(self, numeric, code_ids, graphs, targets, template_index):
-        """Per-shard forward/backward closure for the data-parallel engine.
-
-        Returns ``(stats, grad_vec)`` for a shard's row indices: ``stats``
-        is ``[sse]`` (sum of squared errors — the shard-decomposable loss
-        form) and ``grad_vec`` the flat gradient of that sum over the
-        network's canonical parameter order.  With ``template_index``, the
-        shard encodes only *its* unique templates (``np.unique`` subset +
-        re-indexed gather), so workers never touch the full template set.
-        """
-        network = self.network
-        params = network.parameters()
-
-        def shard_fn(rows: np.ndarray):
-            if template_index is not None:
-                sub_templates, sub_index = np.unique(
-                    template_index[rows], return_inverse=True
-                )
-                codes = code_ids[sub_templates] if code_ids is not None else None
-                shard_graphs = (
-                    [graphs[i] for i in sub_templates] if graphs is not None else None
-                )
-                pred = network(
-                    numeric[rows], codes, shard_graphs, template_index=sub_index
-                )
-            else:
-                codes = code_ids[rows] if code_ids is not None else None
-                shard_graphs = [graphs[i] for i in rows] if graphs is not None else None
-                pred = network(numeric[rows], codes, shard_graphs)
-            sse = nn.squared_error_sum(pred, targets[rows])
-            network.zero_grad()
-            sse.backward()
-            return np.array([sse.item()]), nn.flat_grads(params)
-
-        return shard_fn
-
-    def _train_loop_parallel(
-        self, numeric, code_ids, graphs, targets, verbose: bool, template_index=None
-    ) -> None:
-        """Data-parallel variant of :meth:`_train_loop` (DESIGN.md §15).
-
-        Each batch is cut into fixed-size shards (a pure function of the
-        seeded permutation and ``train_shard_rows``), each shard computes a
-        *sum*-form loss and gradient, and the engine reduces them in shard
-        order before one ``1/B`` scaling — so ``workers=N`` reproduces
-        ``workers=1`` bit-for-bit.  The RNG draw sequence matches the
-        serial loop, so the batches are the same; the loss values differ
-        from ``train_workers=0`` only by float summation order.
-        """
-        cfg = self.config
-        params = self.network.parameters()
-        optimizer = nn.Adam(params, lr=cfg.lr)
-        rng = get_rng(cfg.seed + 1)
-        n = len(targets)
-        shard_fn = self._make_shard_fn(numeric, code_ids, graphs, targets, template_index)
-        shard_size = max(1, int(getattr(cfg, "train_shard_rows", 8)))
-        self.train_losses_ = []
-        with nn.ParallelGradEngine(params, shard_fn, workers=cfg.train_workers) as engine:
-            for epoch in range(cfg.epochs):
-                epoch_t0 = time.perf_counter()
-                order = rng.permutation(n)
-                epoch_loss = 0.0
-                batches = 0
-                for start in range(0, n, cfg.batch_size):
-                    idx = order[start : start + cfg.batch_size]
-                    stats, grad = engine.step(nn.shard_rows(idx, shard_size))
-                    grad *= 1.0 / len(idx)
-                    nn.set_flat_grads(params, grad)
-                    nn.clip_grad_norm(params, cfg.grad_clip)
-                    optimizer.step()
-                    epoch_loss += stats[0] / len(idx)
-                    batches += 1
-                self.train_losses_.append(float(epoch_loss / max(batches, 1)))
-                obs.counter(obsn.CTR_FIT_EPOCHS).inc()
-                obs.gauge(obsn.GAUGE_FIT_LAST_LOSS).set(self.train_losses_[-1])
-                obs.histogram(obsn.HIST_FIT_EPOCH_S).observe(time.perf_counter() - epoch_t0)
-                _LOG.log(
-                    logging.INFO if verbose else logging.DEBUG,
-                    "epoch %d: loss %.4f (%d-way data-parallel)",
-                    epoch, self.train_losses_[-1], cfg.train_workers,
-                )
 
     # ------------------------------------------------------------------
     @contextmanager
@@ -580,68 +437,48 @@ class NECSEstimator:
             if was_training:
                 self.network.train()
 
-    def predict(
-        self, instances: Sequence[StageInstance], dedup: Optional[bool] = None
-    ) -> np.ndarray:
+    def predict(self, instances: Sequence[StageInstance]) -> np.ndarray:
         """Predicted stage execution times in seconds.
 
-        ``dedup=None`` follows ``config.dedup_templates``: unique stage
-        templates are encoded once for the whole instance list and their
-        embeddings fanned back out.  ``dedup=False`` forces the naive
-        per-row encode — the reference path the serving benchmark times.
+        Unique stage templates are encoded once for the whole instance list
+        and their embeddings fanned back out to row order.
         """
         if self.network is None:
             raise RuntimeError("NECS is not fitted")
-        if dedup is None:
-            dedup = self.config.dedup_templates
         with obs.span(obsn.SPAN_NECS_PREDICT) as sp:
             if sp:
-                sp.set(n_instances=len(instances), dedup=dedup)
-            return self._predict_impl(instances, dedup)
+                sp.set(n_instances=len(instances))
+            return self._predict_impl(instances)
 
-    def _predict_impl(self, instances: Sequence[StageInstance], dedup: bool) -> np.ndarray:
+    def _predict_impl(self, instances: Sequence[StageInstance]) -> np.ndarray:
         out = np.empty(len(instances))
+        if not len(instances):
+            return out
         bs = max(self.config.batch_size, 64)
-        if dedup:
-            if not len(instances):
-                return out
-            enc = self._encode_dedup(instances)
-            with self._eval_mode():
-                parts = [enc.numeric]
-                if enc.code_ids is not None:
-                    h_code = self.network._encode_code(enc.code_ids).numpy()
-                    parts.append(h_code[enc.template_index])
-                if enc.graphs is not None:
-                    h_dag = self.network._encode_dags(enc.graphs).numpy()
-                    parts.append(h_dag[enc.template_index])
-                feats = np.concatenate(parts, axis=1)
-                for start in range(0, len(instances), bs):
-                    pred = self.network.mlp(nn.Tensor(feats[start : start + bs]))
-                    out[start : start + bs] = pred.numpy().reshape(-1)
-            return np.expm1(out * self._y_std + self._y_mean)
+        enc = self._encode_dedup(instances)
         with self._eval_mode():
+            parts = [enc.numeric]
+            if enc.code_ids is not None:
+                h_code = self.network._encode_code(enc.code_ids).numpy()
+                parts.append(h_code[enc.template_index])
+            if enc.graphs is not None:
+                h_dag = self.network._encode_dags(enc.graphs).numpy()
+                parts.append(h_dag[enc.template_index])
+            feats = np.concatenate(parts, axis=1)
             for start in range(0, len(instances), bs):
-                chunk = instances[start : start + bs]
-                numeric, code_ids, graphs = self._encode(chunk)
-                pred = self.network(numeric, code_ids, graphs).numpy()
-                out[start : start + len(chunk)] = pred
+                pred = self.network.mlp(nn.Tensor(feats[start : start + bs]))
+                out[start : start + bs] = pred.numpy().reshape(-1)
         return np.expm1(out * self._y_std + self._y_mean)
 
     def feature_embeddings(self, instances: Sequence[StageInstance]) -> np.ndarray:
         """The h_i embeddings Adaptive Model Update discriminates on."""
         if self.network is None:
             raise RuntimeError("NECS is not fitted")
-        if self.config.dedup_templates:
-            enc = self._encode_dedup(instances)
-            with self._eval_mode():
-                _, h = self.network.forward_with_embedding(
-                    enc.numeric, enc.code_ids, enc.graphs,
-                    template_index=enc.template_index,
-                )
-            return h.numpy()
-        numeric, code_ids, graphs = self._encode(instances)
+        enc = self._encode_dedup(instances)
         with self._eval_mode():
-            _, h = self.network.forward_with_embedding(numeric, code_ids, graphs)
+            _, h = self.network.forward_with_embedding(
+                enc.numeric, enc.code_ids, enc.graphs, enc.template_index,
+            )
         return h.numpy()
 
     # ------------------------------------------------------------------

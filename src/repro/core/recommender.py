@@ -5,17 +5,13 @@ DAGs), each candidate configuration is scored by summing NECS's predicted
 stage times with the candidate's knob vector, the target data features and
 the target environment substituted in; candidates are ranked ascending.
 
-Two ranking paths exist:
-
-- :meth:`KnobRecommender.rank` — the serving fast path.  The templates'
-  code/DAG encodings (and their CNN/GCN embeddings) are computed once —
-  they are candidate-invariant — and every candidate contributes only a
-  numeric row, so ranking N candidates costs one embedding pass plus one
-  batched tower-MLP forward over ``N * n_stages`` rows.
-- :meth:`KnobRecommender.rank_per_instance` — the reference path that
-  materialises one :class:`StageInstance` copy per (template, candidate)
-  pair and re-encodes everything through ``NECSEstimator.predict``.  Kept
-  for the equivalence test and the serving-latency benchmark baseline.
+The templates' code/DAG encodings (and their CNN/GCN embeddings) are
+computed once — they are candidate-invariant — and every candidate
+contributes only a numeric row, so ranking N candidates costs one
+embedding pass plus one batched tower-MLP forward over ``N * n_stages``
+rows.  The per-instance reference ranking (one retargeted
+:class:`StageInstance` per template and candidate, re-encoded row by row)
+lives in ``tests/necs_oracle.py``.
 """
 
 from __future__ import annotations
@@ -163,30 +159,6 @@ class KnobRecommender:
                        n_candidates=n_rows,
                        n_stages=encoded.n_stages)
             return out
-
-    def rank_per_instance(
-        self,
-        templates: Sequence[StageInstance],
-        candidates: Sequence[SparkConf],
-        data_features: np.ndarray,
-        cluster: ClusterSpec,
-    ) -> Recommendation:
-        """Reference path: one retargeted StageInstance per (stage, candidate)."""
-        if not templates:
-            raise ValueError("no stage templates for the application")
-        if not candidates:
-            raise ValueError("no candidate configurations")
-        start = time.perf_counter()
-
-        batch: List[StageInstance] = []
-        for conf in candidates:
-            batch.extend(retarget_instances(templates, conf, data_features, cluster))
-        # dedup=False: this path exists to show what ranking costs without
-        # template reuse, so it must not silently benefit from it.
-        predictions = self.estimator.predict(batch, dedup=False)
-
-        totals = predictions.reshape(len(candidates), len(templates)).sum(axis=1)
-        return self._build(candidates, totals, start)
 
     @staticmethod
     def _build(

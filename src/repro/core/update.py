@@ -90,15 +90,13 @@ class AdaptiveModelUpdater:
         """The adversarial fine-tuning loop behind :meth:`update`.
 
         The combined source+target corpus is featurised exactly once per
-        ``update`` (not per epoch or per step), with template-deduplicated
-        encoding when the estimator is configured for it: each minibatch
-        then encodes only its unique stage templates through the CNN/GCN
-        and gathers rows back to batch order.
+        ``update`` (not per epoch or per step) with template-deduplicated
+        encoding, and its graphs are packed once.  Every step then encodes
+        the full unique-template set through the CNN/GCN and gathers batch
+        rows out by template index — see ``NECSEstimator._train_loop``.
         """
         if not source or not target:
             raise ValueError("both source and target instances are required")
-        if int(getattr(self.estimator.config, "train_workers", 0) or 0) >= 1:
-            return self._update_impl_parallel(source, target)
         cfg = self.config
         est = self.estimator
         net = est.network
@@ -106,30 +104,13 @@ class AdaptiveModelUpdater:
 
         combined = list(source) + list(target)
         n_src, n_tgt = len(source), len(target)
-        if est.config.dedup_templates:
-            enc = est._encode_dedup(combined)
-            all_numeric, tindex = enc.numeric, enc.template_index
-            code_u = enc.code_ids
-            pack = nn.pack_graphs(enc.graphs) if enc.graphs is not None else None
-            all_codes = all_graphs = None
-        else:
-            all_numeric, all_codes, all_graphs = est._encode(combined)
-            tindex = code_u = pack = None
+        enc = est._encode_dedup(combined)
+        pack = nn.pack_graphs(enc.graphs) if enc.graphs is not None else None
         all_y = est._encode_targets(combined)
 
         def batch_features(rows: np.ndarray):
-            """(numeric, code_ids, graphs, template_index) for batch rows.
-
-            Dedup mode encodes the full unique-template set every step (the
-            graph pack is built once per ``update``) and gathers batch rows
-            out by ``tindex[rows]`` — see ``NECSEstimator._train_loop``.
-            """
-            numeric = all_numeric[rows]
-            if tindex is not None:
-                return numeric, code_u, pack, tindex[rows]
-            codes = all_codes[rows] if all_codes is not None else None
-            graphs = [all_graphs[i] for i in rows] if all_graphs is not None else None
-            return numeric, codes, graphs, None
+            """(numeric, code_ids, graphs, template_index) for batch rows."""
+            return enc.numeric[rows], enc.code_ids, pack, enc.template_index[rows]
 
         # Probe embedding width.
         _, h0 = net.forward_with_embedding(*batch_features(np.array([0])))
@@ -149,15 +130,13 @@ class AdaptiveModelUpdater:
                 si = rng.integers(0, n_src, size=min(half, n_src))
                 ti = rng.integers(0, n_tgt, size=min(half, n_tgt))
                 rows = np.concatenate([si, ti + n_src])
-                numeric, codes, graphs, batch_tindex = batch_features(rows)
+                features = batch_features(rows)
                 y = all_y[rows]
                 labels = np.concatenate([np.ones(len(si)), np.zeros(len(ti))])
 
                 # -------- discriminator step (on detached embeddings) ----
                 for _ in range(cfg.disc_steps):
-                    _, h = net.forward_with_embedding(
-                        numeric, codes, graphs, template_index=batch_tindex
-                    )
+                    _, h = net.forward_with_embedding(*features)
                     h_const = h.detach()
                     d_prob = self.discriminator(h_const)
                     d_loss = nn.bce_loss(d_prob, labels)
@@ -166,9 +145,7 @@ class AdaptiveModelUpdater:
                     opt_disc.step()
 
                 # -------- NECS step: accurate + domain-confusing ---------
-                pred, h = net.forward_with_embedding(
-                    numeric, codes, graphs, template_index=batch_tindex
-                )
+                pred, h = net.forward_with_embedding(*features)
                 pred_loss = nn.mse_loss(pred, y)
                 d_prob = self.discriminator(h)
                 confusion = nn.bce_loss(d_prob, labels)
@@ -186,140 +163,6 @@ class AdaptiveModelUpdater:
             self.history_.append(
                 {"epoch": epoch, "pred_loss": epoch_pred / steps, "disc_loss": epoch_disc / steps}
             )
-        # Weights changed in place: cached template encodings are now stale.
-        est.bump_version()
-        return est
-
-    def _update_impl_parallel(
-        self,
-        source: Sequence[StageInstance],
-        target: Sequence[StageInstance],
-    ) -> NECSEstimator:
-        """Data-parallel adversarial fine-tuning (DESIGN.md §15).
-
-        Mirrors :meth:`_update_impl` — same RNG draw sequence, same
-        alternating discriminator/model schedule — but runs each batch
-        through the sharded gradient engine in *sum*-form (SSE, BCE-sum),
-        scaled by ``1/B`` after the canonical shard-order reduction, so
-        the result is bit-identical across worker counts.  Each shard
-        encodes only its own unique stage templates; the full graph pack
-        is never built.
-        """
-        cfg = self.config
-        est = self.estimator
-        net = est.network
-        rng = get_rng(cfg.seed)
-
-        combined = list(source) + list(target)
-        n_src, n_tgt = len(source), len(target)
-        if est.config.dedup_templates:
-            enc = est._encode_dedup(combined)
-            all_numeric, tindex = enc.numeric, enc.template_index
-            code_u, all_graphs = enc.code_ids, enc.graphs
-            all_codes = None
-        else:
-            all_numeric, all_codes, all_graphs = est._encode(combined)
-            tindex = code_u = None
-        all_y = est._encode_targets(combined)
-        lam = cfg.adversarial_weight
-
-        def shard_features(rows: np.ndarray):
-            """Per-shard features, encoding only the shard's templates."""
-            numeric = all_numeric[rows]
-            if tindex is not None:
-                sub_templates, sub_index = np.unique(tindex[rows], return_inverse=True)
-                codes = code_u[sub_templates] if code_u is not None else None
-                graphs = (
-                    [all_graphs[i] for i in sub_templates]
-                    if all_graphs is not None else None
-                )
-                return numeric, codes, graphs, sub_index
-            codes = all_codes[rows] if all_codes is not None else None
-            graphs = [all_graphs[i] for i in rows] if all_graphs is not None else None
-            return numeric, codes, graphs, None
-
-        # Probe embedding width.
-        _, h0 = net.forward_with_embedding(*shard_features(np.array([0])))
-        self.discriminator = DomainDiscriminator(h0.shape[1], cfg.disc_hidden, rng)
-        disc = self.discriminator
-
-        net_params = net.parameters()
-        disc_params = disc.parameters()
-        all_params = net_params + disc_params
-        net_size = sum(int(np.prod(p.shape)) for p in net_params)
-        opt_model = nn.Adam(net_params, lr=cfg.lr)
-        opt_disc = nn.Adam(disc_params, lr=cfg.disc_lr)
-
-        def shard_fn(payload):
-            phase, rows, labels = payload
-            numeric, codes, graphs, batch_tindex = shard_features(rows)
-            if phase == "disc":
-                _, h = net.forward_with_embedding(
-                    numeric, codes, graphs, template_index=batch_tindex
-                )
-                d_loss = nn.bce_loss_sum(disc(h.detach()), labels)
-                net.zero_grad()
-                disc.zero_grad()
-                d_loss.backward()
-                return np.array([d_loss.item()]), nn.flat_grads(all_params)
-            pred, h = net.forward_with_embedding(
-                numeric, codes, graphs, template_index=batch_tindex
-            )
-            pred_loss = nn.squared_error_sum(pred, all_y[rows])
-            confusion = nn.bce_loss_sum(disc(h), labels)
-            total = pred_loss - confusion * lam
-            net.zero_grad()
-            disc.zero_grad()
-            total.backward()
-            return np.array([pred_loss.item()]), nn.flat_grads(all_params)
-
-        half = max(2, cfg.batch_size // 2)
-        steps = max(1, (n_src + n_tgt) // cfg.batch_size)
-        shard_size = max(1, int(getattr(est.config, "train_shard_rows", 8)))
-        workers = int(getattr(est.config, "train_workers", 1))
-
-        with nn.ParallelGradEngine(all_params, shard_fn, workers=workers) as engine:
-            for epoch in range(cfg.epochs):
-                epoch_pred, epoch_disc = 0.0, 0.0
-                for _ in range(steps):
-                    si = rng.integers(0, n_src, size=min(half, n_src))
-                    ti = rng.integers(0, n_tgt, size=min(half, n_tgt))
-                    rows = np.concatenate([si, ti + n_src])
-                    labels = np.concatenate([np.ones(len(si)), np.zeros(len(ti))])
-                    batch = float(len(rows))
-
-                    def payloads(phase):
-                        return [
-                            (phase, rows[pos], labels[pos])
-                            for pos in nn.shard_rows(np.arange(len(rows)), shard_size)
-                        ]
-
-                    # ---- discriminator step(s) on detached embeddings ----
-                    d_stats = None
-                    for _ in range(cfg.disc_steps):
-                        d_stats, d_grad = engine.step(payloads("disc"))
-                        d_grad *= 1.0 / batch
-                        nn.set_flat_grads(all_params, d_grad)
-                        opt_disc.step()
-
-                    # ---- NECS step: accurate + domain-confusing ----------
-                    m_stats, m_grad = engine.step(payloads("model"))
-                    m_grad *= 1.0 / batch
-                    # Freeze the discriminator during the model step.
-                    m_grad[net_size:] = 0.0
-                    nn.set_flat_grads(all_params, m_grad)
-                    nn.clip_grad_norm(net_params, est.config.grad_clip)
-                    opt_model.step()
-
-                    epoch_pred += m_stats[0] / batch
-                    epoch_disc += d_stats[0] / batch
-                self.history_.append(
-                    {
-                        "epoch": epoch,
-                        "pred_loss": float(epoch_pred / steps),
-                        "disc_loss": float(epoch_disc / steps),
-                    }
-                )
         # Weights changed in place: cached template encodings are now stale.
         est.bump_version()
         return est

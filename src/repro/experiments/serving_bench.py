@@ -1,23 +1,21 @@
-"""Serving-latency benchmark: the recommendation fast path vs. the
-per-instance reference path.
+"""Serving-latency benchmark: the recommendation fast path and its tower
+variants.
 
-Ranking N candidates used to re-tokenize the same stage code and re-encode
-the same DAGs once per candidate; the fast path encodes each stage template
-once and scores all candidates with a single batched tower-MLP forward.
-This module measures four paths on the same trained system and the same
-candidate list, reports p50/p95 rank latency and candidates/sec, and emits
+The fast path encodes each stage template once and scores all candidates
+with a single batched tower-MLP forward.  This module measures three
+tower paths on the same trained system and the same candidate list,
+reports p50/p95 rank latency and candidates/sec, and emits
 ``BENCH_serving.json`` — the number the paper's low-overhead online-tuning
 claim (Sec. V-I) lives or dies on.
 
-The four paths, fastest first:
+The three paths, fastest first:
 
 - ``fast`` — the serving default: float32 tower snapshot + fused no-tape
   kernels (or the ``dtype`` override, e.g. ``--dtype float64``);
 - ``fast_float64`` — fused kernels at full precision (the float32 opt-out);
-- ``fast_taped`` — float64 through the autograd tape, i.e. the previous
-  fast path before the fused kernels landed.  The 1.8x serving floor is
-  measured against *this* path;
-- ``reference`` — per-instance re-encoding, the original slow path.
+- ``fast_taped`` — float64 through the autograd tape, i.e. the fast path
+  before the fused kernels landed.  The 1.8x serving floor is measured
+  against *this* path.
 
 The 1.8x gate times ``predict_encoded`` itself — the call the float32
 fused kernels replaced — not the whole ``rank``: candidate vector
@@ -27,13 +25,14 @@ it hostage to scheduler noise on a busy runner.  The whole-rank
 ``fast_taped`` stats stay in the report as context.
 
 Two exactness gates ride along: ``totals_bit_identical`` demands the fused
-float64 kernels reproduce the taped reference path bit-for-bit (fusing must
-not change arithmetic), and ``dtype_equivalence`` holds the float32 default
-to the serving contract — identical top-k order and a bounded relative
-error against float64.
+float64 kernels reproduce the taped float64 forward bit-for-bit (fusing
+must not change arithmetic), and ``dtype_equivalence`` holds the float32
+default to the serving contract — identical top-k order and a bounded
+relative error against float64.
 
-Used by ``repro bench-recommend`` (CLI) and
-``benchmarks/test_serving_latency.py`` (asserts the speedup floor).
+The per-instance reference ranking lives in ``tests/necs_oracle.py``;
+``benchmarks/test_serving_latency.py`` times it against ``rank`` and
+asserts the speedup floor.  Used by ``repro bench-recommend`` (CLI).
 """
 
 from __future__ import annotations
@@ -55,15 +54,14 @@ from .report import write_bench_report
 DEFAULT_OUT = "BENCH_serving.json"
 
 #: p50 floor for the float32+fused serving path over the taped float64
-#: path it replaced.  Unlike the parallel-training floor this gate is not
-#: hardware-conditional: the win comes from dtype width and tape
-#: elimination, not core count.
+#: path it replaced.  The gate is not hardware-conditional: the win comes
+#: from dtype width and tape elimination, not core count.
 DTYPE_SPEEDUP_FLOOR = 1.8
 
 #: Max relative error the float32 path may show against float64 totals.
 DTYPE_REL_ERR_BOUND = 1e-5
 
-#: Ranking prefix that must match exactly between float32 and reference.
+#: Ranking prefix that must match exactly between float32 and float64.
 DTYPE_TOPK = 10
 
 
@@ -118,7 +116,7 @@ def measure_serving_latency(
     seed: int = 0,
     dtype: Optional[str] = None,
 ) -> Dict[str, object]:
-    """Time all four serving paths on identical candidates.
+    """Time the three serving paths on identical candidates.
 
     ``dtype`` overrides the serving dtype of the ``fast`` path only
     (``None`` = the trained config's default, float32); the comparison
@@ -149,13 +147,10 @@ def measure_serving_latency(
         return rec.rank(templates, candidates, data, cluster,
                         encoded=encoded, dtype="float64", fused=False)
 
-    def rank_ref():
-        return rec.rank_per_instance(templates, candidates, data, cluster)
-
     # Warm every path (the first fast call pays the one-off template
     # encoding and dtype-cast caches) and keep the warm results — the
     # correctness gates compare these, not re-ranked copies.
-    fast0, f64_0, taped0, ref0 = rank_fast(), rank_f64(), rank_taped(), rank_ref()
+    fast0, f64_0, taped0 = rank_fast(), rank_f64(), rank_taped()
 
     def timed(fn) -> list:
         times = []
@@ -168,7 +163,6 @@ def measure_serving_latency(
     fast = _stats(timed(rank_fast), n_candidates)
     f64 = _stats(timed(rank_f64), n_candidates)
     taped = _stats(timed(rank_taped), n_candidates)
-    ref = _stats(timed(rank_ref), n_candidates)
 
     # The gated comparison: the tower forward alone, fused serving dtype
     # vs. the taped float64 forward it replaced, on identical inputs.
@@ -194,14 +188,10 @@ def measure_serving_latency(
     def totals(res):
         return np.array([t for _, t in res.ranking], dtype=np.float64)
 
-    same_order = order(fast0) == order(ref0)
-    # Bit-identity is a float64 contract: fused kernels and the per-
-    # instance path must agree exactly; float32 is held to the (looser)
-    # dtype_equivalence contract below instead.
-    totals_equal = bool(
-        np.array_equal(totals(f64_0), totals(taped0))
-        and np.array_equal(totals(f64_0), totals(ref0))
-    )
+    # Bit-identity is a float64 contract: fusing the kernels must not
+    # change arithmetic; float32 is held to the (looser) dtype_equivalence
+    # contract below instead.
+    totals_equal = bool(np.array_equal(totals(f64_0), totals(taped0)))
     k = min(DTYPE_TOPK, n_candidates)
     f64_totals, fast_totals = totals(f64_0), totals(fast0)
     max_rel_err = float(
@@ -219,17 +209,13 @@ def measure_serving_latency(
         "fast": fast,
         "fast_float64": f64,
         "fast_taped": taped,
-        "reference": ref,
         "predict_encoded": {"fast": pe_fast, "taped": pe_taped},
-        "speedup_p50": ref["p50_ms"] / fast["p50_ms"],
-        "speedup_p95": ref["p95_ms"] / fast["p95_ms"],
         "speedup_p50_vs_taped": speedup_vs_taped,
         "speedup_vs_taped_floor": DTYPE_SPEEDUP_FLOOR,
         "speedup_vs_taped_enforced": gate_enforced,
         "speedup_vs_taped_ok": bool(
             not gate_enforced or speedup_vs_taped >= DTYPE_SPEEDUP_FLOOR
         ),
-        "rankings_identical": same_order,
         "totals_bit_identical": totals_equal,
         "dtype_equivalence": {
             "dtype": dtype_name,

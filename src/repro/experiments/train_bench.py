@@ -1,39 +1,24 @@
-"""Training-throughput benchmark: the batched engine vs. the reference path.
+"""Training-throughput benchmark for the NECS training engine.
 
-One optimizer step used to tokenize-and-encode every batch row separately
-and push each DAG through the GCN one graph at a time; the batched engine
-encodes each *unique* stage template once (trailing code padding trimmed,
-graphs packed block-diagonally once per fit) and gathers rows back to batch
-order.  This module fits the same corpus both ways, checks the loss curves
-still match, measures fit and Adaptive-Model-Update throughput in
-instances/sec, and emits ``BENCH_training.json`` — the evidence behind the
-training-cost claim (offline collection dominates, but retraining must not).
+The engine encodes each *unique* stage template once (trailing code
+padding trimmed, graphs packed block-diagonally once per fit) and gathers
+rows back to batch order.  This module fits a realistic corpus, runs one
+Adaptive Model Update on it, measures both in instances/sec, and emits
+``BENCH_training.json`` with the unique-template count and dedup factor
+behind those numbers — the evidence for the training-cost claim (offline
+collection dominates, but retraining must not).
 
-With ``workers >= 2`` the benchmark additionally measures the
-multi-process data-parallel engine (``NECSConfig.train_workers``) against
-its ``workers=1`` twin.  Two very different gates apply there:
-
-- *determinism* is unconditional — the engines must produce bit-identical
-  loss curves and weights on any machine, or the parallel substrate is
-  wrong;
-- the *speedup floor* (2.5x at 4 workers) is hardware-conditional — it is
-  only enforced when the host actually has >= 4 CPUs, and the report
-  records ``cpu_count`` so a single-core runner's 1.0x is legible as
-  "couldn't demonstrate", not "regressed".
-
-Used by ``repro bench-train`` (CLI) and
-``benchmarks/test_training_throughput.py`` (asserts the speedup floor).
+The per-row reference loops it replaced live in ``tests/necs_oracle.py``;
+``benchmarks/test_training_throughput.py`` times them on the same corpus
+and asserts the speedup floors and loss-curve equivalence.  Used by
+``repro bench-train`` (CLI).
 """
 
 from __future__ import annotations
 
-import os
 import time
-from dataclasses import replace
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
-
-import numpy as np
 
 from ..core.instances import StageInstance, build_dataset
 from ..core.necs import NECSConfig, NECSEstimator
@@ -41,16 +26,6 @@ from ..core.update import AdaptiveModelUpdater, UpdateConfig
 from .report import write_bench_report
 
 DEFAULT_OUT = "BENCH_training.json"
-
-#: Loss curves of the two engines must agree to this absolute tolerance for
-#: the benchmark to count — a fast path that trains a different model is a
-#: bug, not a speedup.
-LOSS_TOLERANCE = 1e-6
-
-#: Fit-throughput floor for the data-parallel engine at 4 workers —
-#: enforced only on hosts with at least this many CPUs.
-PARALLEL_SPEEDUP_FLOOR = 2.5
-PARALLEL_MIN_CPUS = 4
 
 
 def build_training_corpus(
@@ -82,17 +57,12 @@ def build_training_corpus(
     return build_dataset(train_runs), build_dataset(target_runs)
 
 
-def _rel_diff(a: np.ndarray, b: np.ndarray) -> float:
-    scale = float(np.abs(a).max()) or 1.0
-    return float(np.abs(a - b).max()) / scale
-
-
 def _best_of(fn, repeats: int):
     """``(last_result, min_seconds)`` over ``repeats`` timed calls.
 
     Training is deterministic, so repeats return the same model; the min
-    filters out scheduler noise, which otherwise dwarfs the batched
-    engine's ~0.1 s fits far more than the reference's.
+    filters out scheduler noise, which otherwise dwarfs the engine's
+    ~0.1 s fits.
     """
     times = []
     result = None
@@ -111,45 +81,15 @@ def measure_training_throughput(
     seed: int = 0,
     repeats: int = 3,
 ) -> Dict[str, object]:
-    """Fit + adaptively update the same corpus with both engines.
-
-    The reference configuration (``dedup_templates=False, batched_gcn=False``)
-    reproduces the pre-batching training loop: per-row featurisation and one
-    GCN call per graph.  Both engines draw the identical RNG sequence, so
-    their per-epoch loss curves are directly comparable numbers, not just
-    similar-looking ones.
-    """
-    fast_cfg = NECSConfig(epochs=epochs, seed=seed)
-    ref_cfg = replace(fast_cfg, dedup_templates=False, batched_gcn=False)
-    n = len(train)
-
-    ref_est, ref_fit_s = _best_of(lambda: NECSEstimator(ref_cfg).fit(train), repeats)
-    fast_est, fast_fit_s = _best_of(lambda: NECSEstimator(fast_cfg).fit(train), repeats)
-
-    enc = fast_est._encode_dedup(train)
-    loss_diff = float(
-        np.abs(
-            np.array(ref_est.train_losses_) - np.array(fast_est.train_losses_)
-        ).max()
-    )
-    probe = train[: min(len(train), 64)]
-    pred_diff = _rel_diff(ref_est.predict(probe, dedup=False), fast_est.predict(probe))
-
-    # Updates mutate the estimator in place; both engines get the same
-    # number of rounds, so the final models remain comparable.
+    """Fit, then adaptively update, the same corpus; best-of-``repeats``."""
+    cfg = NECSConfig(epochs=epochs, seed=seed)
+    est, fit_s = _best_of(lambda: NECSEstimator(cfg).fit(train), repeats)
+    enc = est._encode_dedup(train)
     ucfg = UpdateConfig(epochs=update_epochs, seed=seed)
-    _, ref_upd_s = _best_of(
-        lambda: AdaptiveModelUpdater(ref_est, ucfg).update(train, target), repeats
+    _, upd_s = _best_of(
+        lambda: AdaptiveModelUpdater(est, ucfg).update(train, target), repeats
     )
-    _, fast_upd_s = _best_of(
-        lambda: AdaptiveModelUpdater(fast_est, ucfg).update(train, target), repeats
-    )
-    tgt_probe = target[: min(len(target), 64)]
-    post_diff = _rel_diff(
-        ref_est.predict(tgt_probe, dedup=False), fast_est.predict(tgt_probe)
-    )
-
-    n_upd = len(train) + len(target)
+    n, n_upd = len(train), len(train) + len(target)
     return {
         "n_train_instances": n,
         "n_target_instances": len(target),
@@ -158,78 +98,8 @@ def measure_training_throughput(
         "epochs": epochs,
         "update_epochs": update_epochs,
         "repeats": repeats,
-        "fit": {
-            "reference_s": ref_fit_s,
-            "batched_s": fast_fit_s,
-            "reference_inst_per_s": n * epochs / ref_fit_s,
-            "batched_inst_per_s": n * epochs / fast_fit_s,
-            "speedup": ref_fit_s / fast_fit_s,
-        },
-        "update": {
-            "reference_s": ref_upd_s,
-            "batched_s": fast_upd_s,
-            "reference_inst_per_s": n_upd * update_epochs / ref_upd_s,
-            "batched_inst_per_s": n_upd * update_epochs / fast_upd_s,
-            "speedup": ref_upd_s / fast_upd_s,
-        },
-        "equivalence": {
-            "loss_curve_max_abs_diff": loss_diff,
-            "pred_max_rel_diff": pred_diff,
-            "post_update_pred_max_rel_diff": post_diff,
-            "within_tolerance": bool(
-                loss_diff <= LOSS_TOLERANCE and pred_diff <= LOSS_TOLERANCE
-            ),
-        },
-    }
-
-
-def measure_parallel_fit(
-    train: List[StageInstance],
-    workers: int,
-    epochs: int = 4,
-    seed: int = 0,
-    repeats: int = 3,
-) -> Dict[str, object]:
-    """Fit with the data-parallel engine at ``workers`` vs. ``workers=1``.
-
-    Both runs use the *same* parallel engine (identical shard plan and
-    reduction order), so the determinism checks demand exact bit equality
-    — the worker count may only change wall-clock, never a single ulp.
-    """
-    if workers < 2:
-        raise ValueError("measure_parallel_fit needs workers >= 2")
-    single_cfg = NECSConfig(epochs=epochs, seed=seed, train_workers=1)
-    multi_cfg = replace(single_cfg, train_workers=workers)
-
-    single_est, single_s = _best_of(
-        lambda: NECSEstimator(single_cfg).fit(train), repeats
-    )
-    multi_est, multi_s = _best_of(
-        lambda: NECSEstimator(multi_cfg).fit(train), repeats
-    )
-
-    losses_identical = single_est.train_losses_ == multi_est.train_losses_
-    sd_a, sd_b = single_est.network.state_dict(), multi_est.network.state_dict()
-    weights_identical = sd_a.keys() == sd_b.keys() and all(
-        np.array_equal(sd_a[k], sd_b[k]) for k in sd_a
-    )
-    cpu_count = os.cpu_count() or 1
-    speedup = single_s / multi_s
-    gate_enforced = cpu_count >= PARALLEL_MIN_CPUS
-    n = len(train)
-    return {
-        "workers": workers,
-        "cpu_count": cpu_count,
-        "single_s": single_s,
-        "multi_s": multi_s,
-        "single_inst_per_s": n * epochs / single_s,
-        "multi_inst_per_s": n * epochs / multi_s,
-        "speedup": speedup,
-        "loss_curves_bit_identical": bool(losses_identical),
-        "weights_bit_identical": bool(weights_identical),
-        "speedup_floor": PARALLEL_SPEEDUP_FLOOR,
-        "speedup_gate_enforced": gate_enforced,
-        "speedup_ok": bool(not gate_enforced or speedup >= PARALLEL_SPEEDUP_FLOOR),
+        "fit": {"seconds": fit_s, "inst_per_s": n * epochs / fit_s},
+        "update": {"seconds": upd_s, "inst_per_s": n_upd * update_epochs / upd_s},
     }
 
 
@@ -240,13 +110,8 @@ def run_training_benchmark(
     seed: int = 0,
     out: Optional[Union[str, Path]] = DEFAULT_OUT,
     repeats: int = 3,
-    workers: int = 0,
 ) -> Dict[str, object]:
-    """Build a corpus, measure both engines, emit the JSON report.
-
-    ``workers >= 2`` adds the data-parallel section (multi-process fit vs.
-    its single-process twin, bit-identity gated).
-    """
+    """Build a corpus, measure the engine, emit the JSON report."""
     if smoke:
         epochs = min(epochs, 2)
         update_epochs = min(update_epochs, 1)
@@ -256,11 +121,6 @@ def run_training_benchmark(
         train, target, epochs=epochs, update_epochs=update_epochs, seed=seed,
         repeats=repeats,
     )
-    if workers >= 2:
-        result["parallel"] = measure_parallel_fit(
-            train, workers, epochs=epochs, seed=seed,
-            repeats=min(repeats, 2) if smoke else repeats,
-        )
     result["smoke"] = smoke
     if out is not None:
         path = write_bench_report(
@@ -268,7 +128,6 @@ def run_training_benchmark(
             config={
                 "epochs": epochs, "update_epochs": update_epochs,
                 "smoke": smoke, "seed": seed, "repeats": repeats,
-                "workers": workers,
             },
         )
         result["out"] = str(path)

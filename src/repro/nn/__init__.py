@@ -13,24 +13,8 @@ from .rnn import LSTMCell, LSTMEncoder
 from .attention import TransformerEncoder
 from .gcn import GCNEncoder, GraphPack, block_diagonal, normalized_adjacency, pack_graphs
 from .optim import Adam, SGD, clip_grad_norm
-from .losses import (
-    bce_loss,
-    bce_loss_sum,
-    bce_with_logits,
-    huber_loss,
-    mae_loss,
-    mse_loss,
-    squared_error_sum,
-)
+from .losses import bce_loss, bce_with_logits, huber_loss, mae_loss, mse_loss
 from .fused import fused_forward
-from .parallel import (
-    ParallelGradEngine,
-    flat_data,
-    flat_grads,
-    set_flat_data,
-    set_flat_grads,
-    shard_rows,
-)
 from . import functional
 
 __all__ = [
@@ -41,10 +25,7 @@ __all__ = [
     "LSTMCell", "LSTMEncoder", "TransformerEncoder",
     "GCNEncoder", "GraphPack", "block_diagonal", "normalized_adjacency", "pack_graphs",
     "Adam", "SGD", "clip_grad_norm",
-    "bce_loss", "bce_loss_sum", "bce_with_logits", "huber_loss", "mae_loss",
-    "mse_loss", "squared_error_sum",
+    "bce_loss", "bce_with_logits", "huber_loss", "mae_loss", "mse_loss",
     "fused_forward",
-    "ParallelGradEngine", "flat_data", "flat_grads", "set_flat_data",
-    "set_flat_grads", "shard_rows",
     "functional",
 ]

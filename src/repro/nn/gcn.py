@@ -125,8 +125,8 @@ class GCNEncoder(Module):
         conv layer runs as a single matmul chain over every node of every
         graph; per-graph pooling is a ``segment_max``.  One optimizer step
         therefore records a handful of large tape nodes instead of dozens
-        of per-graph tapes, while staying numerically equivalent to
-        :meth:`forward_batch_pergraph` (the propagation is exact, pooling
+        of per-graph tapes, while staying numerically equivalent to calling
+        :meth:`forward` once per graph (the propagation is exact, pooling
         is exact, and only BLAS batch-shape effects at the 1e-15 level can
         differ in the dense layers).
         """
@@ -157,16 +157,3 @@ class GCNEncoder(Module):
         for layer in self.layers:
             h = (prop @ layer(h)).relu()
         return segment_max(h, segment_ids, n_graphs)
-
-    def forward_batch_pergraph(self, graphs: Sequence[Tuple]) -> Tensor:
-        """Reference path: encode one graph at a time and stack.
-
-        Kept as the pre-batching baseline for equivalence tests and the
-        training-throughput benchmark.
-        """
-        from .tensor import stack
-
-        return stack(
-            [self.forward(v if isinstance(v, Tensor) else Tensor(v), a) for v, a in graphs],
-            axis=0,
-        )

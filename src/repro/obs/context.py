@@ -8,17 +8,13 @@ opened inside the block inherits its trace id (see
 :meth:`repro.obs.tracing.Tracer.span`).
 
 The interesting part is the *handoff*.  Thread-locals do not cross the
-MicroBatcher's leader/follower boundary, and nothing crosses a fork to a
-parallel training worker, so propagation is explicit:
-
-- :func:`capture` snapshots the calling thread's context **plus its
-  innermost live span** into a handle another thread can :func:`attach`
-  (cross-thread re-parenting) or record as a span link (the batch leader
-  links each coalesced follower's context into its ``serve.batch.run``
-  span).
-- Across processes the handle itself never travels: workers ship raw
-  span timings back with their gradients and the coordinator re-parents
-  them via :meth:`repro.obs.tracing.Tracer.adopt` under its own context.
+MicroBatcher's leader/follower boundary, so propagation is explicit:
+:func:`capture` snapshots the calling thread's context **plus its
+innermost live span** into a handle another thread can :func:`attach`
+(cross-thread re-parenting) or record as a span link (the batch leader
+links each coalesced follower's context into its ``serve.batch.run``
+span).  Across processes only the trace id travels, in the
+:data:`TRACE_HEADER` of an HTTP request.
 
 ``annotations`` is a mutable dict shared by every capture of the same
 context.  It lets a *later* stage report back to the request that owns

@@ -44,10 +44,6 @@ SPAN_SERVE_HEALTH = "serve.health"
 # handler and the micro-batch leader's coalesced forward (followers link in).
 SPAN_SERVE_REQUEST = "serve.request"
 SPAN_SERVE_BATCH_RUN = "serve.batch.run"
-# Data-parallel training: the coordinator's reduce step and the per-shard
-# worker spans adopted back across the process boundary.
-SPAN_PARALLEL_STEP = "parallel.step"
-SPAN_PARALLEL_SHARD = "parallel.shard"
 
 ALL_SPANS = frozenset({
     SPAN_SERVE_RECOMMEND,
@@ -56,8 +52,6 @@ ALL_SPANS = frozenset({
     SPAN_SERVE_HEALTH,
     SPAN_SERVE_REQUEST,
     SPAN_SERVE_BATCH_RUN,
-    SPAN_PARALLEL_STEP,
-    SPAN_PARALLEL_SHARD,
     SPAN_OFFLINE_TRAIN,
     SPAN_FEATURISE,
     SPAN_ACG_FIT,

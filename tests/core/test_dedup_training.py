@@ -1,29 +1,27 @@
-"""Template-deduplicated training must reproduce the naive engine exactly.
+"""Template-deduplicated training must reproduce per-row training exactly.
 
-The batched engine (``dedup_templates=True, batched_gcn=True``) is a pure
-performance rewrite: it draws the same RNG sequence, sees the same batches,
-and must therefore walk the same optimization trajectory as the pre-batching
-reference.  These tests fit the same corpus both ways and compare loss
-curves, predictions, embeddings, and the adaptively-updated models.
+The single training engine is a pure performance rewrite of the per-row
+loops in ``tests/necs_oracle.py``: it draws the same RNG sequence, sees the
+same batches, and must therefore walk the same optimization trajectory.
+These tests fit the same corpus both ways and compare loss curves,
+predictions, embeddings, and the adaptively-updated models.
 """
-
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.core.necs import NECSConfig, NECSEstimator
 from repro.core.update import AdaptiveModelUpdater, UpdateConfig
+from tests import necs_oracle as oracle
 
 FAST = NECSConfig(epochs=3, max_tokens=96, mlp_hidden=48, conv_filters=16, seed=0)
-NAIVE = replace(FAST, dedup_templates=False, batched_gcn=False)
 
 
 @pytest.fixture(scope="module")
 def engines(small_instances):
     corpus = small_instances[:240]
     return (
-        NECSEstimator(NAIVE).fit(corpus),
+        oracle.fit(NECSEstimator(FAST), corpus),
         NECSEstimator(FAST).fit(corpus),
         corpus,
     )
@@ -46,7 +44,7 @@ class TestDedupEncoding:
         est.tokenizer.fit([i.code_tokens for i in small_instances])
         est.dag_encoder.fit([i.dag_labels for i in small_instances])
         enc = est._encode_dedup(small_instances, fit=True)
-        _, code_ids, graphs = est._encode(small_instances)
+        _, code_ids, graphs = oracle.encode_rows(est, small_instances)
         width = enc.code_ids.shape[1]
         for row in range(0, len(small_instances), 17):
             slot = enc.template_index[row]
@@ -79,18 +77,16 @@ class TestTrainingEquivalence:
     def test_predictions_match(self, engines):
         naive, fast, corpus = engines
         probe = corpus[:64]
-        p_naive = naive.predict(probe, dedup=False)
+        p_naive = oracle.predict(naive, probe)
         p_fast = fast.predict(probe)
         np.testing.assert_allclose(p_fast, p_naive, rtol=1e-6)
-        # The dedup inference path of either model agrees with its own
-        # naive path — same model, same numbers.
-        np.testing.assert_allclose(
-            fast.predict(probe, dedup=False), p_fast, rtol=1e-6
-        )
+        # The engine's inference path agrees with per-row inference on the
+        # same model — same model, same numbers.
+        np.testing.assert_allclose(oracle.predict(fast, probe), p_fast, rtol=1e-6)
 
     def test_embeddings_match(self, engines):
         naive, fast, corpus = engines
-        h_naive = naive.feature_embeddings(corpus[:32])
+        h_naive = oracle.feature_embeddings(naive, corpus[:32])
         h_fast = fast.feature_embeddings(corpus[:32])
         np.testing.assert_allclose(h_fast, h_naive, rtol=1e-5, atol=1e-8)
 
@@ -98,8 +94,12 @@ class TestTrainingEquivalence:
         naive, fast, corpus = engines
         target = small_instances[-60:]
         cfg = UpdateConfig(epochs=1, seed=0)
-        AdaptiveModelUpdater(naive, cfg).update(corpus, target)
-        AdaptiveModelUpdater(fast, cfg).update(corpus, target)
-        p_naive = naive.predict(target[:40], dedup=False)
+        history = oracle.update(naive, corpus, target, cfg)
+        updater = AdaptiveModelUpdater(fast, cfg)
+        updater.update(corpus, target)
+        for want, got in zip(history, updater.history_):
+            assert got["pred_loss"] == pytest.approx(want["pred_loss"], rel=0.0, abs=1e-6)
+            assert got["disc_loss"] == pytest.approx(want["disc_loss"], rel=0.0, abs=1e-6)
+        p_naive = oracle.predict(naive, target[:40])
         p_fast = fast.predict(target[:40])
         np.testing.assert_allclose(p_fast, p_naive, rtol=1e-6)

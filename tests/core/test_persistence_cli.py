@@ -142,12 +142,11 @@ class TestPersistenceFailureModes:
     ):
         import pickle
 
-        # A v5 build's NECSConfig predates train_workers/train_shard_rows/
-        # serving_dtype; the frozen dataclass stores fields in __dict__, so
-        # aging one is deleting those attributes.
+        # A v5 build's NECSConfig predates serving_dtype; the frozen
+        # dataclass stores fields in __dict__, so aging one is deleting
+        # that attribute.
         clone = pickle.loads(pickle.dumps(tiny_lite))
-        for name in ("train_workers", "train_shard_rows", "serving_dtype"):
-            object.__delattr__(clone.config.necs, name)
+        object.__delattr__(clone.config.necs, "serving_dtype")
         if hasattr(clone.estimator, "_serving_snapshot"):
             del clone.estimator._serving_snapshot
         path = tmp_path / "v5.pkl"
@@ -155,8 +154,6 @@ class TestPersistenceFailureModes:
             {"format": "repro-lite", "version": 5, "lite": clone}))
         loaded = load_lite(path)
         cfg = loaded.config.necs
-        assert cfg.train_workers == 0
-        assert cfg.train_shard_rows == 8
         assert cfg.serving_dtype == "float32"
         # Both references must point at the one rebuilt config.
         assert loaded.estimator.config is cfg
@@ -165,6 +162,72 @@ class TestPersistenceFailureModes:
         rec = self._recommend(loaded)
         assert rec.predicted_time_s > 0
         assert loaded.estimator._serving_snapshot is not None
+
+    def test_v8_config_with_removed_engine_fields(self, tiny_lite, tmp_path):
+        import os
+        import pickle
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        # A v8 checkpoint written before the data-parallel engine and the
+        # reference-path flags were deleted still carries those fields in
+        # its NECSConfig's __dict__.  They must be inert.
+        clone = pickle.loads(pickle.dumps(tiny_lite))
+        stale = {"train_workers": 2, "train_shard_rows": 16,
+                 "dedup_templates": False, "batched_gcn": False}
+        for name, value in stale.items():
+            object.__setattr__(clone.config.necs, name, value)
+        stale_path = save_lite(clone, tmp_path / "stale.pkl")
+        old = load_lite(stale_path)
+        new = load_lite(save_lite(tiny_lite, tmp_path / "clean.pkl"))
+        assert old.estimator.config.train_workers == 2
+
+        def totals(rec):
+            return np.array([t for _, t in rec.ranking])
+
+        a, b = self._recommend(old), self._recommend(new)
+        assert a.conf == b.conf
+        np.testing.assert_array_equal(totals(a), totals(b))
+
+        # The adaptive update runs the one training engine: same weights,
+        # same rankings afterwards.
+        wl = get_workload("PageRank")
+        run = wl.run(a.conf, CLUSTER_C, scale="train0", seed=5)
+        assert old.feedback(run, update_now=True)
+        assert new.feedback(run, update_now=True)
+        sd_old = old.estimator.network.state_dict()
+        sd_new = new.estimator.network.state_dict()
+        assert sd_old.keys() == sd_new.keys()
+        for key in sd_old:
+            np.testing.assert_array_equal(sd_old[key], sd_new[key])
+        np.testing.assert_array_equal(
+            totals(self._recommend(old)), totals(self._recommend(new)))
+
+        # ... and never starts a worker pool: in a fresh interpreter, the
+        # load, recommend and update leave multiprocessing unimported.
+        script = "\n".join([
+            "import sys",
+            "from repro.core.persistence import load_lite",
+            "from repro.sparksim import CLUSTER_C",
+            "from repro.workloads import get_workload",
+            f"lite = load_lite({str(stale_path)!r})",
+            "wl = get_workload('PageRank')",
+            "data = wl.data_spec('valid').features()",
+            "conf = lite.recommend('PageRank', data, CLUSTER_C).conf",
+            "run = wl.run(conf, CLUSTER_C, scale='train0', seed=5)",
+            "assert lite.feedback(run, update_now=True)",
+            "assert 'multiprocessing' not in sys.modules",
+        ])
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
 
     def test_v6_global_drift_becomes_keyed_with_detector(self, tiny_lite, tmp_path):
         import pickle

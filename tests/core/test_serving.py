@@ -22,6 +22,7 @@ from repro.sparksim.cluster import ClusterSpec
 from repro.sparksim.costmodel import SparkJobError, plan_executors
 from repro.utils.rng import get_rng
 from repro.workloads import get_workload
+from tests.necs_oracle import rank_per_instance
 
 
 @pytest.fixture(scope="module")
@@ -59,8 +60,8 @@ class TestFastPathEquivalence:
             encoded=served_lite.encoded_templates(wl.name),
             dtype="float64",
         )
-        ref = served_lite.recommender.rank_per_instance(
-            templates, candidates, data, CLUSTER_C
+        ref = rank_per_instance(
+            served_lite.recommender, templates, candidates, data, CLUSTER_C
         )
         assert [c for c, _ in fast.ranking] == [c for c, _ in ref.ranking]
         np.testing.assert_array_equal(

@@ -5,7 +5,8 @@ The training engine's correctness rests on three claims, each checked
 here: the new autograd ops match finite differences (with ``segment_max``
 ties split exactly like ``Tensor.max``), the packed propagation is
 numerically identical to encoding one graph at a time (forward values to
-1e-10, and parameter gradients too), and a pack built once keeps matching
+1e-10, and parameter gradients too; the per-graph path is the oracle in
+``tests/necs_oracle.py``), and a pack built once keeps matching
 ``forward_batch`` built per call.
 """
 
@@ -16,6 +17,7 @@ from repro import nn
 from repro.nn.gcn import GCNEncoder, block_diagonal, normalized_adjacency, pack_graphs
 from repro.nn.tensor import Tensor, gather, segment_max
 from repro.utils.rng import get_rng
+from tests.necs_oracle import forward_batch_pergraph
 
 
 def numeric_grad(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -142,8 +144,8 @@ class TestBatchedGCNEquivalence:
 
     def test_forward_identical(self, graphs, encoder):
         batched = encoder.forward_batch(graphs).numpy()
-        pergraph = encoder.forward_batch_pergraph(
-            [(Tensor(v), a) for v, a in graphs]
+        pergraph = forward_batch_pergraph(
+            encoder, [(Tensor(v), a) for v, a in graphs]
         ).numpy()
         np.testing.assert_allclose(batched, pergraph, rtol=0.0, atol=1e-10)
 
@@ -154,7 +156,7 @@ class TestBatchedGCNEquivalence:
         for p in encoder.parameters():
             p.zero_grad()
         (
-            encoder.forward_batch_pergraph([(Tensor(v), a) for v, a in graphs])
+            forward_batch_pergraph(encoder, [(Tensor(v), a) for v, a in graphs])
             * Tensor(w)
         ).sum().backward()
         for gb, p in zip(grads_batched, encoder.parameters()):

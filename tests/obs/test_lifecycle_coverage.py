@@ -82,49 +82,12 @@ def service():
     return captured
 
 
-@pytest.fixture(scope="module")
-def parallel():
-    """One traced pooled gradient step — fires every ``parallel.*`` name.
-
-    Neither the chaos harness nor the service benchmark runs the
-    data-parallel engine (chaos trains serially; the daemon's update path
-    defaults to in-process), so the ``parallel.*`` spans get a harness of
-    their own: a 2-worker engine stepping a trivial shard function, which
-    exercises both the local ``parallel.step`` span and the worker-timed,
-    coordinator-adopted ``parallel.shard`` spans.
-    """
-    import numpy as np
-
-    from repro.nn.module import Parameter
-    from repro.nn.parallel import ParallelGradEngine
-
-    def shard_fn(payload):
-        return np.array([float(payload)]), np.ones(3)
-
-    obs.reset()
-    obs.enable_tracing()
-    try:
-        with ParallelGradEngine([Parameter(np.zeros(3))], shard_fn, workers=2) as eng:
-            eng.step([1.0, 2.0, 3.0])
-    finally:
-        obs.disable_tracing()
-    captured = {
-        "snapshot": obs.metrics_snapshot(),
-        "span_names": {r.name for r in obs.get_tracer().records()},
-    }
-    obs.reset()
-    return captured
-
-
-#: Three-way partition of the taxonomy by firing harness: the serving
+#: Two-way partition of the taxonomy by firing harness: the serving
 #: daemon's (and its SLO monitor's) names fire in the service benchmark,
-#: the data-parallel engine's in a tiny traced step of its own, and
 #: everything else in the chaos lifecycle.  The union covers the taxonomy.
 def _bucket(name: str) -> str:
     if name.startswith(("serve.", "slo.")):
         return "service"
-    if name.startswith("parallel."):
-        return "parallel"
     return "library"
 
 
@@ -203,20 +166,6 @@ class TestServiceNameCoverage:
 
     def test_benchmark_passes_its_own_gates(self, service):
         assert service["summary"]["ok"], service["summary"]["checks"]
-
-
-class TestParallelNameCoverage:
-    """The ``parallel.*`` slice: one traced multi-worker gradient step."""
-
-    def test_parallel_spans_fire_and_feed_histograms(self, parallel):
-        parallel_spans = _names_for(obsn.ALL_SPANS, "parallel")
-        assert parallel_spans, "parallel spans missing from the taxonomy"
-        missing = parallel_spans - parallel["span_names"]
-        assert not missing, f"spans never entered: {sorted(missing)}"
-        snap = parallel["snapshot"]
-        for name in parallel_spans:
-            key = f"span.{name}.duration_s"
-            assert key in snap and snap[key]["count"] > 0, key
 
 
 class TestLifecycleSemantics:

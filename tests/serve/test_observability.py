@@ -152,18 +152,10 @@ class TestEndToEndTrace:
             if span is not root:
                 assert span.parent_id is not None
 
-    def test_trace_reaches_parallel_training_spans(
-            self, tenant_checkpoints, tmp_path):
-        """The full tentpole chain: HTTP handler -> feedback -> adaptive
-        update through the data-parallel engine, one trace id throughout.
-        """
-        from dataclasses import replace
-
-        from repro.core.persistence import load_lite, save_lite
-
-        lite = load_lite(tenant_checkpoints["acme"])
-        lite.estimator.config = replace(lite.estimator.config, train_workers=2)
-        ckpt = {"acme": save_lite(lite, tmp_path / "acme-parallel.pkl")}
+    def test_trace_reaches_adaptive_update(self, tenant_checkpoints):
+        """The full chain: HTTP handler -> feedback -> adaptive update of
+        NECS, one trace id throughout."""
+        ckpt = {"acme": tenant_checkpoints["acme"]}
         svc = LiteService(ModelRegistry(ckpt), ServiceConfig(batch_window_s=0.0))
         srv = make_server(svc)
         threading.Thread(target=srv.serve_forever, daemon=True).start()
@@ -189,14 +181,7 @@ class TestEndToEndTrace:
         names = {s.name for s in spans}
         assert obsn.SPAN_SERVE_REQUEST in names
         assert obsn.SPAN_SERVE_FEEDBACK in names
-        assert obsn.SPAN_PARALLEL_STEP in names
-        assert obsn.SPAN_PARALLEL_SHARD in names
-        # Shard spans came back from the worker process and were adopted
-        # under the step span — still inside the request's trace.
-        steps = {s.span_id for s in spans if s.name == obsn.SPAN_PARALLEL_STEP}
-        shards = [s for s in spans if s.name == obsn.SPAN_PARALLEL_SHARD]
-        assert shards and all(s.parent_id in steps for s in shards)
-        assert all(s.attrs.get("remote") for s in shards)
+        assert obsn.SPAN_NECS_UPDATE in names
 
 
 class TestMetricsEndpoint:
