@@ -63,7 +63,9 @@ def part_b(lite_c):
         wl = get_workload(name)
         data = wl.data_spec("valid").features()
         pools = {
-            "ACG": lite_c.candidate_generator.generate(name, data[0], POOL, rng),
+            "ACG": SparkConf.from_matrix(
+                lite_c.candidate_generator.generate(name, data[0], POOL, rng)
+            ),
             "Random": [SparkConf.random(rng) for _ in range(POOL)],
             "LHS": lhs_configurations(POOL, rng),
         }

@@ -21,7 +21,7 @@ import numpy as np
 
 from ..ml.forest import RandomForestRegressor
 from ..ml.tree import FlatTrees
-from ..sparksim.config import KNOB_HIGHS, KNOB_LOWS, NUM_KNOBS, SparkConf
+from ..sparksim.config import KNOB_HIGHS, KNOB_LOWS, NUM_KNOBS, SparkConf, canonical_matrix
 from ..sparksim.eventlog import AppRun
 
 TOP_FRACTION = 0.4  # paper: top 40 % instances with lowest execution time
@@ -127,13 +127,15 @@ class AdaptiveCandidateGenerator:
         datasize_rows: float,
         n_candidates: int,
         rng: np.random.Generator,
-    ) -> List[SparkConf]:
-        """Sample ``n_candidates`` configurations inside the region.
+    ) -> np.ndarray:
+        """Sample ``n_candidates`` canonical knob vectors inside the region.
 
         One ``(n, 16)`` draw consumes ``rng`` candidate-major, exactly like
-        a per-candidate, per-knob loop of scalar draws.
+        a per-candidate, per-knob loop of scalar draws.  The rows are
+        :func:`~repro.sparksim.config.canonical_matrix` vectors; only the
+        ones finally ranked become :class:`SparkConf` objects.
         """
         lows, highs = np.array(self.region(app_name, datasize_rows)).T
-        return SparkConf.from_matrix(
+        return canonical_matrix(
             rng.uniform(lows, highs, size=(n_candidates, NUM_KNOBS))
         )

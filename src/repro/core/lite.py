@@ -35,7 +35,8 @@ from ..obs.drift import (
     TaskSwitchDetector,
 )
 from ..sparksim.cluster import ClusterSpec
-from ..sparksim.config import SparkConf
+from ..sparksim.config import KNOB_NAMES, KNOB_SPECS, SparkConf, canonical_matrix
+from ..sparksim.costmodel import hostable_mask
 from ..sparksim.eventlog import AppRun
 from .candidates import AdaptiveCandidateGenerator
 from .instances import StageInstance, build_dataset, instances_from_run
@@ -391,8 +392,9 @@ class LITE:
                     rngs.append(
                         derive(self.config.seed, "recommend", app_name, str(seq))
                     )
-            per_query: List[List[SparkConf]] = []
+            per_query: List[np.ndarray] = []
             generate_s: List[float] = []
+            n_hostable = n_fallback = 0
             for (feats, n), rng in zip(prepared, rngs):
                 t0 = time.perf_counter()
                 candidates = self.candidate_generator.generate(
@@ -401,13 +403,15 @@ class LITE:
                 # Free submit-time validity check (what spark-submit/YARN
                 # would reject immediately): drop candidates the cluster
                 # cannot host.
-                hostable = self._filter_hostable(candidates, cluster)
-                if not hostable:
+                hostable = candidates[hostable_mask(candidates, cluster)]
+                n_hostable += len(hostable)
+                if len(hostable) == 0:
                     # The ACG region was learned on the training clusters and
                     # can sit entirely outside what this cluster hosts; never
                     # rank (and recommend) confs that would be rejected at
                     # submit time — widen to the full knob ranges instead.
                     hostable = self._sample_hostable(cluster, n, rng)
+                    n_fallback += 1
                 per_query.append(hostable)
                 generate_s.append(time.perf_counter() - t0)
             templates = self.stage_templates(app_name)
@@ -434,39 +438,35 @@ class LITE:
                 # double-book it).
                 rec.probe_overhead_s = probe_s if i == 0 else 0.0
             if sp:
+                # n_hostable counts ACG rows that passed the mask; a query
+                # whose region hosts nothing adds 0 there and 1 to n_fallback.
                 sp.set(app=app_name, n_queries=len(queries),
                        n_candidates=sum(len(h) for h in per_query),
+                       n_hostable=n_hostable, n_fallback=n_fallback,
                        cache_hit=cache_hit)
         return recs
 
-    @staticmethod
-    def _filter_hostable(
-        candidates: Sequence[SparkConf], cluster: ClusterSpec
-    ) -> List[SparkConf]:
-        from ..sparksim.costmodel import SparkJobError, plan_executors
-
-        hostable = []
-        for conf in candidates:
-            try:
-                plan_executors(conf, cluster)
-            except SparkJobError:
-                continue
-            hostable.append(conf)
-        return hostable
-
     def _sample_hostable(
         self, cluster: ClusterSpec, n: int, rng: np.random.Generator
-    ) -> List[SparkConf]:
+    ) -> np.ndarray:
         """Full-range fallback sampling when the ACG region is unhostable.
 
-        Knobs are sampled over their full ranges, with the four resource
-        knobs additionally capped at the cluster's physical capacity (caps
-        clip back into the legal knob range, so a cluster smaller than the
-        smallest legal driver/executor still yields nothing and raises).
+        One capped draw of ``max(20n, 200)`` rows, one column per knob
+        (bools from ``integers(0, 2)``, int knobs rounded), with the
+        resource knobs additionally capped at the cluster's physical
+        capacity.  Caps clip back into the legal knob range, so a cluster
+        smaller than the smallest legal driver/executor still yields
+        nothing and raises.  Returns the first ``n`` hostable rows.
         """
-        from ..sparksim.config import KNOB_BY_NAME
-        from ..sparksim.costmodel import SparkJobError, plan_executors
-
+        draws = max(20 * n, 200)
+        columns = []
+        for spec in KNOB_SPECS:
+            if spec.kind == "bool":
+                columns.append(rng.integers(0, 2, size=draws).astype(np.float64))
+            else:
+                values = rng.uniform(spec.low, spec.high, size=draws)
+                columns.append(np.rint(values) if spec.kind == "int" else values)
+        matrix = np.column_stack(columns)
         caps = {
             "spark.driver.cores": float(cluster.cores_per_node),
             "spark.driver.memory": cluster.memory_gb_per_node,
@@ -476,26 +476,17 @@ class LITE:
             "spark.executor.memory": cluster.memory_gb_per_node - 1.5,
             "spark.executor.memoryOverhead": 512.0,
         }
-        out: List[SparkConf] = []
-        for _ in range(max(20 * n, 200)):
-            conf = SparkConf.random(rng)
-            conf = conf.with_updates({
-                name: KNOB_BY_NAME[name].clip(min(float(conf[name]), cap))
-                for name, cap in caps.items()
-            })
-            try:
-                plan_executors(conf, cluster)
-            except SparkJobError:
-                continue
-            out.append(conf)
-            if len(out) >= n:
-                break
-        if not out:
+        for name, cap in caps.items():
+            col = KNOB_NAMES.index(name)
+            matrix[:, col] = np.minimum(matrix[:, col], cap)
+        matrix = canonical_matrix(matrix)
+        hostable = matrix[hostable_mask(matrix, cluster)][:n]
+        if len(hostable) == 0:
             raise RuntimeError(
                 f"no hostable configuration found for cluster {cluster.name}: "
                 "every sampled candidate was rejected at submit time"
             )
-        return out
+        return hostable
 
     # ------------------------------------------------------------------
     # Feedback / adaptive model update

@@ -25,7 +25,7 @@ import numpy as np
 from .. import obs
 from ..obs import names as obsn
 from ..sparksim.cluster import ClusterSpec
-from ..sparksim.config import SparkConf
+from ..sparksim.config import SparkConf, canonical_matrix
 from .instances import StageInstance, numeric_feature_rows
 from .necs import EncodedTemplates, NECSEstimator
 
@@ -80,7 +80,7 @@ class KnobRecommender:
     def rank(
         self,
         templates: Sequence[StageInstance],
-        candidates: Sequence[SparkConf],
+        candidates: np.ndarray,
         data_features: np.ndarray,
         cluster: ClusterSpec,
         encoded: Optional[EncodedTemplates] = None,
@@ -88,6 +88,11 @@ class KnobRecommender:
         fused: bool = True,
     ) -> Recommendation:
         """Serving fast path: encode templates once, score all candidates.
+
+        ``candidates`` is an ``(n, 16)`` knob matrix, one candidate per row.
+        It is passed through ``canonical_matrix`` (a no-op on ACG's rows)
+        before scoring, so every ranked conf is exactly the vector NECS
+        scored.
 
         ``encoded`` lets the caller (LITE) reuse a cached template encoding
         across calls; without it the templates are encoded here, which still
@@ -106,17 +111,17 @@ class KnobRecommender:
     def rank_many(
         self,
         templates: Sequence[StageInstance],
-        candidate_lists: Sequence[Sequence[SparkConf]],
+        candidate_lists: Sequence[np.ndarray],
         data_features_list: Sequence[np.ndarray],
         cluster: ClusterSpec,
         encoded: Optional[EncodedTemplates] = None,
         dtype: Optional[str] = None,
         fused: bool = True,
     ) -> List[Recommendation]:
-        """Rank several candidate lists against one template set at once.
+        """Rank several candidate knob matrices against one template set.
 
         The micro-batching primitive: the templates are encoded (and their
-        embeddings cast) once, then each list is scored by its own
+        embeddings cast) once, then each matrix is scored by its own
         ``predict_encoded`` forward.  Per-list forwards, not one stacked
         batch, on purpose: BLAS kernel selection depends on the matmul's
         row count, and the float32 serving kernel is only bit-stable for
@@ -124,13 +129,17 @@ class KnobRecommender:
         exactly the shape a standalone :meth:`rank` over that list would
         issue.  That keeps each returned ranking bit-identical to the
         standalone call, which the service benchmark gates on.
+
+        Each list's ``overhead_s`` runs from the end of the previous list
+        (the first from the call's start, so an inline encode is charged
+        to it), never across other queries' forwards.
         """
-        if not candidate_lists:
+        if len(candidate_lists) == 0:
             raise ValueError("no candidate lists to rank")
         if len(candidate_lists) != len(data_features_list):
             raise ValueError("one data_features row is required per candidate list")
         for candidates in candidate_lists:
-            if not candidates:
+            if len(candidates) == 0:
                 raise ValueError("no candidate configurations")
         with obs.span(obsn.SPAN_RANK) as sp:
             start = time.perf_counter()
@@ -145,15 +154,14 @@ class KnobRecommender:
             for candidates, data_features in zip(
                 candidate_lists, data_features_list
             ):
-                numeric = numeric_feature_rows(
-                    np.stack([conf.to_vector() for conf in candidates]),
-                    data_features, env,
-                )
+                matrix = canonical_matrix(candidates)
+                numeric = numeric_feature_rows(matrix, data_features, env)
                 n_rows += int(numeric.shape[0])
                 per_stage = self.estimator.predict_encoded(
                     encoded, numeric, dtype=dtype, fused=fused
                 )
-                out.append(self._build(candidates, per_stage.sum(axis=1), start))
+                out.append(self._build(matrix, per_stage.sum(axis=1), start))
+                start = time.perf_counter()
             if sp:
                 sp.set(n_queries=len(candidate_lists),
                        n_candidates=n_rows,
@@ -162,10 +170,12 @@ class KnobRecommender:
 
     @staticmethod
     def _build(
-        candidates: Sequence[SparkConf], totals: np.ndarray, start: float
+        candidates: np.ndarray, totals: np.ndarray, start: float
     ) -> Recommendation:
+        """Order the knob rows by predicted time; only they become confs."""
         order = np.argsort(totals, kind="stable")
-        ranking = [(candidates[i], float(totals[i])) for i in order]
+        ranking = list(zip(SparkConf.from_matrix(candidates[order]),
+                           totals[order].tolist()))
         overhead = time.perf_counter() - start
         best_conf, best_time = ranking[0]
         return Recommendation(

@@ -167,10 +167,7 @@ def measure_serving_latency(
     # The gated comparison: the tower forward alone, fused serving dtype
     # vs. the taped float64 forward it replaced, on identical inputs.
     est = lite.estimator
-    numeric = numeric_feature_rows(
-        np.stack([conf.to_vector() for conf in candidates]),
-        data, cluster.feature_vector(),
-    )
+    numeric = numeric_feature_rows(candidates, data, cluster.feature_vector())
     pe_fast = _stats(
         timed(lambda: est.predict_encoded(encoded, numeric, dtype=dtype_name)),
         n_candidates,

@@ -98,6 +98,32 @@ NUM_KNOBS = len(KNOB_SPECS)
 KNOB_LOWS = np.array([spec.low for spec in KNOB_SPECS], dtype=np.float64)
 KNOB_HIGHS = np.array([spec.high for spec in KNOB_SPECS], dtype=np.float64)
 _KINDS = tuple(spec.kind for spec in KNOB_SPECS)
+_ROUNDED = np.array([kind != "float" for kind in _KINDS])
+
+
+def canonical_matrix(matrix: np.ndarray) -> np.ndarray:
+    """Canonical knob vectors for the rows of an ``(n, 16)`` matrix.
+
+    Every value is clipped into its knob's range, then int and bool knobs
+    are rounded half-to-even (``np.rint``, like ``round``), so bools hold
+    0/1.  The whole matrix is range-checked once: clipping puts every
+    number, infinities included, in range, so the check is for NaN, which
+    raises ``ValueError``.  Each returned row equals ``to_vector()`` of the
+    conf :meth:`SparkConf.from_matrix` builds from it, and the function is
+    idempotent.
+    """
+    matrix = np.asarray(matrix, dtype=np.float64)
+    if matrix.ndim != 2 or matrix.shape[1] != NUM_KNOBS:
+        raise ValueError(f"expected a matrix of shape (n, {NUM_KNOBS}), got {matrix.shape}")
+    clipped = np.minimum(np.maximum(matrix, KNOB_LOWS), KNOB_HIGHS)
+    out_of_range = np.isnan(clipped)
+    if out_of_range.any():
+        row, col = np.argwhere(out_of_range)[0]
+        raise ValueError(
+            f"{KNOB_NAMES[col]}={matrix[row, col]} in row {row} out of range "
+            f"[{KNOB_LOWS[col]}, {KNOB_HIGHS[col]}]"
+        )
+    return np.where(_ROUNDED, np.rint(clipped), clipped)
 
 
 class SparkConf:
@@ -143,27 +169,14 @@ class SparkConf:
     def from_matrix(matrix: np.ndarray) -> List["SparkConf"]:
         """One conf per row of an ``(n, 16)`` matrix (bools as 0/1).
 
-        Every value is clipped into its knob's range, then int and bool
-        knobs are rounded half-to-even (``np.rint``, like ``round``).  The
-        whole matrix is range-checked once, so a NaN raises ``ValueError``
-        and the rows need no per-knob validation.
+        The rows are made canonical by :func:`canonical_matrix` (clip,
+        round, one range check), so they need no per-knob validation.
         """
-        matrix = np.asarray(matrix, dtype=np.float64)
-        if matrix.ndim != 2 or matrix.shape[1] != NUM_KNOBS:
-            raise ValueError(f"expected a matrix of shape (n, {NUM_KNOBS}), got {matrix.shape}")
-        clipped = np.clip(matrix, KNOB_LOWS, KNOB_HIGHS)
-        in_range = (clipped >= KNOB_LOWS) & (clipped <= KNOB_HIGHS)
-        if not in_range.all():
-            row, col = np.argwhere(~in_range)[0]
-            raise ValueError(
-                f"{KNOB_NAMES[col]}={matrix[row, col]} in row {row} out of range "
-                f"[{KNOB_LOWS[col]}, {KNOB_HIGHS[col]}]"
-            )
-        rounded = np.rint(clipped)
+        canonical = canonical_matrix(matrix)
         columns = [
-            rounded[:, j].astype(np.int64).tolist() if kind == "int"
-            else (rounded[:, j] != 0.0).tolist() if kind == "bool"
-            else clipped[:, j].tolist()
+            canonical[:, j].astype(np.int64).tolist() if kind == "int"
+            else (canonical[:, j] != 0.0).tolist() if kind == "bool"
+            else canonical[:, j].tolist()
             for j, kind in enumerate(_KINDS)
         ]
         return [SparkConf._trusted(dict(zip(KNOB_NAMES, row))) for row in zip(*columns)]

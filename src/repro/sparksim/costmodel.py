@@ -28,7 +28,7 @@ import numpy as np
 from ..utils.rng import get_rng
 
 from .cluster import ClusterSpec
-from .config import SparkConf
+from .config import KNOB_NAMES, SparkConf
 from .dag import StageMetrics
 
 
@@ -123,6 +123,44 @@ def plan_executors(conf: SparkConf, cluster: ClusterSpec) -> ExecutorPlan:
         total_slots=total_slots,
         slots_per_node=total_slots / cluster.num_nodes,
     )
+
+
+_EXEC_CORES, _EXEC_MEM, _EXEC_OVERHEAD, _DRIVER_CORES, _DRIVER_MEM = (
+    KNOB_NAMES.index(name) for name in (
+        "spark.executor.cores", "spark.executor.memory",
+        "spark.executor.memoryOverhead", "spark.driver.cores", "spark.driver.memory",
+    )
+)
+
+
+def hostable_mask(matrix: np.ndarray, cluster: ClusterSpec) -> np.ndarray:
+    """``(n,)`` bool: which rows :func:`plan_executors` would place.
+
+    ``matrix`` holds canonical knob vectors (``canonical_matrix`` rows).
+    Row ``i`` is True exactly when ``plan_executors`` on the conf built
+    from it does not raise: the same packing arithmetic, one column at a
+    time.  Core counts divide as int64 (``//`` floors like Python ints);
+    memory divides as float64 through ``np.floor_divide``, which rounds
+    like Python's float ``//``, so boundary footprints agree bit for bit.
+    """
+    exec_cores = matrix[:, _EXEC_CORES].astype(np.int64)
+    footprint_gb = matrix[:, _EXEC_MEM] + matrix[:, _EXEC_OVERHEAD] / 1024.0
+    driver_cores = matrix[:, _DRIVER_CORES].astype(np.int64)
+    driver_mem_gb = matrix[:, _DRIVER_MEM]
+    node_mem = cluster.memory_gb_per_node
+    node_cores = cluster.cores_per_node
+    driver_fits = (driver_mem_gb <= node_mem) & (driver_cores <= node_cores)
+
+    per_node = np.minimum(
+        node_cores // exec_cores,
+        np.floor_divide(node_mem, footprint_gb).astype(np.int64),
+    )
+    first_node = np.minimum(
+        (node_cores - driver_cores) // exec_cores,
+        np.floor_divide(node_mem - driver_mem_gb, footprint_gb).astype(np.int64),
+    )
+    hostable = np.maximum(0, first_node) + per_node * (cluster.num_nodes - 1)
+    return driver_fits & (hostable > 0)
 
 
 class StageCostModel:

@@ -16,7 +16,7 @@ from repro.core.lite import LITE, LITEConfig
 from repro.core.necs import NECSConfig
 from repro.core.persistence import load_lite, save_lite
 from repro.ml import DecisionTreeRegressor, GradientBoostingRegressor, RandomForestRegressor
-from repro.sparksim import CLUSTER_A, CLUSTER_B, CLUSTER_C, KNOB_NAMES
+from repro.sparksim import CLUSTER_A, CLUSTER_B, CLUSTER_C, KNOB_NAMES, SparkConf
 from repro.utils.rng import get_rng
 from repro.workloads import get_workload
 from tests.acg_oracle import (
@@ -108,9 +108,13 @@ class TestACGAgainstScalarOracle:
         got, want = acg.region(app, datasize), oracle.region(app, datasize)
         assert [(lo.hex(), hi.hex()) for lo, hi in got] == [
             (float(lo).hex(), float(hi).hex()) for lo, hi in want]
-        confs = acg.generate(app, datasize, n, np.random.default_rng(seed))
+        rows = acg.generate(app, datasize, n, np.random.default_rng(seed))
         expected = oracle.generate(app, datasize, n, np.random.default_rng(seed))
+        confs = SparkConf.from_matrix(rows)
         assert [_typed(c) for c in confs] == [_typed(c) for c in expected]
+        want = np.stack([c.to_vector() for c in expected])
+        assert [v.hex() for v in rows.ravel().tolist()] == [
+            v.hex() for v in want.ravel().tolist()]
 
     @pytest.mark.parametrize("app", APPS)
     def test_predict_point_bit_identical(self, acg_pair, app):

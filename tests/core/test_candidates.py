@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.candidates import AdaptiveCandidateGenerator, TOP_FRACTION
 from repro.sparksim import KNOB_SPECS, NUM_KNOBS, SparkConf, CLUSTER_C
+from repro.sparksim.config import canonical_matrix
 from repro.workloads import get_workload
 
 
@@ -75,7 +76,8 @@ class TestRegion:
             assert spec.low <= low <= high <= spec.high
 
     def test_unknown_app_candidates_are_valid_confs(self, fitted_acg, rng):
-        for conf in fitted_acg.generate("NeverSeenApp", 5e5, 6, rng):
+        rows = fitted_acg.generate("NeverSeenApp", 5e5, 6, rng)
+        for conf in SparkConf.from_matrix(rows):
             for spec in KNOB_SPECS:
                 assert spec.low <= float(conf[spec.name]) <= spec.high
 
@@ -84,9 +86,9 @@ class TestGeneration:
     def test_candidates_inside_region(self, fitted_acg, rng):
         bounds = fitted_acg.region("KMeans", 1e6)
         candidates = fitted_acg.generate("KMeans", 1e6, 20, rng)
-        assert len(candidates) == 20
-        for conf in candidates:
-            vec = conf.to_vector()
+        assert candidates.shape == (20, NUM_KNOBS)
+        np.testing.assert_array_equal(candidates, canonical_matrix(candidates))
+        for vec in candidates:
             for value, (low, high), spec in zip(vec, bounds, KNOB_SPECS):
                 if spec.kind == "bool":
                     continue
@@ -99,7 +101,7 @@ class TestGeneration:
     def test_generation_deterministic(self, fitted_acg):
         a = fitted_acg.generate("KMeans", 1e6, 5, np.random.default_rng(0))
         b = fitted_acg.generate("KMeans", 1e6, 5, np.random.default_rng(0))
-        assert a == b
+        np.testing.assert_array_equal(a, b)
 
     def test_region_adapts_to_datasize(self, fitted_acg):
         small = fitted_acg.region("KMeans", 1.2e6)

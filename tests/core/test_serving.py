@@ -6,19 +6,26 @@ Covers:
 - equivalence: fast-path ranking is bit-identical to the per-instance path;
 - the per-app EncodedTemplates cache and its invalidation on model updates;
 - train/eval mode restoration in ``predict``/``feature_embeddings``;
-- the hostable-candidate fallback in ``LITE.recommend``;
+- the hostable-candidate fallback in ``LITE.recommend``, and its
+  ``n_hostable``/``n_fallback`` counts on the ``lite.recommend`` span;
+- per-query ``overhead_s`` inside a ``recommend_many`` batch;
 - cold-start probe double-failure and probe-overhead threading;
 - feedback retention across successive adaptive updates.
 """
 
+import time
+
 import numpy as np
 import pytest
 
-from repro.core.lite import LITE, LITEConfig
+from repro import obs
+from repro.core.lite import LITE, LITEConfig, RecommendQuery
 from repro.core.necs import NECSConfig
 from repro.core.update import UpdateConfig
-from repro.sparksim import CLUSTER_C, SparkConf
+from repro.obs import names as obsn
+from repro.sparksim import CLUSTER_C, KNOB_BY_NAME, KNOB_NAMES, SparkConf
 from repro.sparksim.cluster import ClusterSpec
+from repro.sparksim.config import KNOB_HIGHS, KNOB_LOWS, canonical_matrix
 from repro.sparksim.costmodel import SparkJobError, plan_executors
 from repro.utils.rng import get_rng
 from repro.workloads import get_workload
@@ -89,8 +96,7 @@ class TestFastPathEquivalence:
         from repro.core.instances import numeric_feature_rows
 
         enc = served_lite.encoded_templates(wl.name)
-        knobs = np.stack([c.to_vector() for c in candidates])
-        rows = numeric_feature_rows(knobs, data, CLUSTER_C.feature_vector())
+        rows = numeric_feature_rows(candidates, data, CLUSTER_C.feature_vector())
         preds = served_lite.estimator.predict_encoded(enc, rows)
         assert preds.shape == (len(candidates), enc.n_stages)
         assert np.isfinite(preds).all()
@@ -185,6 +191,12 @@ TINY_CLUSTER = ClusterSpec(
     memory_gb_per_node=4.0, memory_mts=2400.0, network_gbps=1.0,
 )
 
+#: The benchmark's undersized cluster: one 16-core, 4 GB node.
+BENCH_TINY_CLUSTER = ClusterSpec(
+    "tiny", num_nodes=1, cores_per_node=16, cpu_ghz=2.9,
+    memory_gb_per_node=4.0, memory_mts=2666.0, network_gbps=1.0,
+)
+
 HOPELESS_CLUSTER = ClusterSpec(
     # Less node memory than the smallest legal driver heap: nothing hosts.
     "hopeless", num_nodes=1, cores_per_node=1, cpu_ghz=1.0,
@@ -198,23 +210,46 @@ class TestHostableFallback:
         huge = SparkConf({"spark.executor.memory": 32, "spark.executor.cores": 16})
         monkeypatch.setattr(
             lite.candidate_generator, "generate",
-            lambda app, rows, n, rng: [huge] * n,
+            lambda app, rows, n, rng: np.tile(huge.to_vector(), (n, 1)),
         )
+
+    @staticmethod
+    def _assert_capped_hostable(rows, cluster, n):
+        assert 1 <= len(rows) <= n
+        np.testing.assert_array_equal(rows, canonical_matrix(rows))
+        assert (rows >= KNOB_LOWS).all() and (rows <= KNOB_HIGHS).all()
+        caps = {
+            "spark.driver.cores": cluster.cores_per_node,
+            "spark.driver.memory": cluster.memory_gb_per_node,
+            "spark.executor.cores": cluster.cores_per_node,
+            "spark.executor.memory": cluster.memory_gb_per_node - 1.5,
+            "spark.executor.memoryOverhead": 512,
+        }
+        for name, cap in caps.items():
+            # A cap below the knob's range clips back up to its low end.
+            bound = max(np.rint(cap), KNOB_BY_NAME[name].low)
+            assert (rows[:, KNOB_NAMES.index(name)] <= bound).all(), name
+        for conf in SparkConf.from_matrix(rows):
+            plan_executors(conf, cluster)  # must not raise
 
     def test_never_recommends_unhostable(self, served_lite, monkeypatch):
         self._force_unhostable_candidates(monkeypatch, served_lite)
         wl = get_workload("PageRank")
         data = wl.data_spec("valid").features()
-        rec = served_lite.recommend(
-            wl.name, data, TINY_CLUSTER, n_candidates=5, rng=get_rng(0)
-        )
-        for conf, _ in rec.ranking:
-            plan_executors(conf, TINY_CLUSTER)  # must not raise
-        with pytest.raises(SparkJobError):
-            plan_executors(
-                SparkConf({"spark.executor.memory": 32, "spark.executor.cores": 16}),
-                TINY_CLUSTER,
-            )
+        for cluster in (TINY_CLUSTER, BENCH_TINY_CLUSTER):
+            with pytest.raises(SparkJobError):
+                plan_executors(
+                    SparkConf({"spark.executor.memory": 32, "spark.executor.cores": 16}),
+                    cluster,
+                )
+            for n in (1, 5, 40):
+                rows = served_lite._sample_hostable(cluster, n, get_rng(n))
+                self._assert_capped_hostable(rows, cluster, n)
+                rec = served_lite.recommend(
+                    wl.name, data, cluster, n_candidates=n, rng=get_rng(n)
+                )
+                ranked = np.stack([conf.to_vector() for conf, _ in rec.ranking])
+                self._assert_capped_hostable(ranked, cluster, n)
 
     def test_raises_when_nothing_hostable(self, served_lite, monkeypatch):
         self._force_unhostable_candidates(monkeypatch, served_lite)
@@ -224,6 +259,66 @@ class TestHostableFallback:
             served_lite.recommend(
                 wl.name, data, HOPELESS_CLUSTER, n_candidates=5, rng=get_rng(0)
             )
+
+
+class TestBatchOverhead:
+    def test_each_query_times_only_its_own_ranking(self, served_lite, monkeypatch):
+        """``overhead_s`` of query k must not include queries 0..k-1's forwards."""
+        wl = get_workload("PageRank")
+        data = wl.data_spec("valid").features()
+        served_lite.recommend(wl.name, data, CLUSTER_C, rng=get_rng(0))  # warm
+        forward = served_lite.estimator.predict_encoded
+
+        def slow_forward(*args, **kwargs):
+            time.sleep(0.02)
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(served_lite.estimator, "predict_encoded", slow_forward)
+        recs = served_lite.recommend_many(
+            wl.name, [RecommendQuery(data, None, get_rng(s)) for s in range(3)],
+            CLUSTER_C,
+        )
+        overheads = [rec.overhead_s for rec in recs]
+        assert all(0.02 <= o < 0.04 for o in overheads), overheads
+
+
+class TestFallbackVisibility:
+    def test_recommend_span_counts_hostable_rows_and_fallbacks(self, served_lite):
+        wl = get_workload("PageRank")
+        data = wl.data_spec("valid").features()
+        queries = [(BENCH_TINY_CLUSTER, seed) for seed in range(4)] + [(CLUSTER_C, 4)]
+        # Expected counts from the scalar check of each query's ACG draw.
+        hostable = []
+        for cluster, seed in queries:
+            rows = served_lite.candidate_generator.generate(
+                wl.name, float(data[0]), 9, get_rng(seed))
+            ok = 0
+            for conf in SparkConf.from_matrix(rows):
+                try:
+                    plan_executors(conf, cluster)
+                except SparkJobError:
+                    continue
+                ok += 1
+            hostable.append(ok)
+        assert 0 in hostable[:4] and hostable[4] > 0
+
+        obs.reset()
+        obs.enable_tracing()
+        try:
+            served_lite.recommend_many(
+                wl.name, [RecommendQuery(data, 9, get_rng(s)) for s in range(4)],
+                BENCH_TINY_CLUSTER,
+            )
+            served_lite.recommend(wl.name, data, CLUSTER_C, n_candidates=9, rng=get_rng(4))
+            tiny, region = [r for r in obs.get_tracer().records()
+                            if r.name == obsn.SPAN_RECOMMEND]
+        finally:
+            obs.reset()
+        assert tiny.attrs["n_hostable"] == sum(hostable[:4])
+        assert tiny.attrs["n_fallback"] == hostable[:4].count(0)
+        assert region.attrs["n_hostable"] == hostable[4]
+        assert region.attrs["n_fallback"] == 0
+        assert region.attrs["n_candidates"] == hostable[4]
 
 
 class TestColdStartProbe:

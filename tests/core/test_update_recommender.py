@@ -7,7 +7,7 @@ from repro.core.instances import build_dataset
 from repro.core.necs import NECSConfig, NECSEstimator
 from repro.core.recommender import KnobRecommender, retarget_instances
 from repro.core.update import AdaptiveModelUpdater, UpdateConfig
-from repro.sparksim import CLUSTER_C, SparkConf
+from repro.sparksim import CLUSTER_C, NUM_KNOBS, SparkConf
 from repro.workloads import get_workload
 
 
@@ -105,7 +105,7 @@ class TestRetarget:
 class TestRecommender:
     def test_ranking_sorted_by_prediction(self, fitted_necs, small_instances, rng):
         templates = small_instances[:5]
-        candidates = [SparkConf.random(rng) for _ in range(8)]
+        candidates = np.stack([SparkConf.random(rng).to_vector() for _ in range(8)])
         rec = KnobRecommender(fitted_necs).rank(
             templates, candidates, templates[0].data_features, CLUSTER_C
         )
@@ -116,7 +116,7 @@ class TestRecommender:
 
     def test_overhead_recorded_and_small(self, fitted_necs, small_instances, rng):
         templates = small_instances[:5]
-        candidates = [SparkConf.random(rng) for _ in range(10)]
+        candidates = np.stack([SparkConf.random(rng).to_vector() for _ in range(10)])
         rec = KnobRecommender(fitted_necs).rank(
             templates, candidates, templates[0].data_features, CLUSTER_C
         )
@@ -126,9 +126,9 @@ class TestRecommender:
     def test_empty_inputs_rejected(self, fitted_necs, small_instances, rng):
         with pytest.raises(ValueError):
             KnobRecommender(fitted_necs).rank(
-                [], [SparkConf()], np.zeros(4), CLUSTER_C
+                [], SparkConf().to_vector()[None, :], np.zeros(4), CLUSTER_C
             )
         with pytest.raises(ValueError):
             KnobRecommender(fitted_necs).rank(
-                small_instances[:2], [], np.zeros(4), CLUSTER_C
+                small_instances[:2], np.zeros((0, NUM_KNOBS)), np.zeros(4), CLUSTER_C
             )

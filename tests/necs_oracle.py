@@ -223,19 +223,20 @@ def update(
 def rank_per_instance(
     recommender: KnobRecommender,
     templates: Sequence[StageInstance],
-    candidates: Sequence[SparkConf],
+    candidates: np.ndarray,
     data_features: np.ndarray,
     cluster: ClusterSpec,
 ) -> Recommendation:
     """Rank with one retargeted StageInstance per (candidate, stage), each
-    re-encoded row by row — no template reuse at all."""
+    re-encoded row by row — no template reuse at all.  ``candidates`` is a
+    knob matrix, one candidate per row, as ``KnobRecommender.rank`` takes."""
     if not templates:
         raise ValueError("no stage templates for the application")
-    if not candidates:
+    if len(candidates) == 0:
         raise ValueError("no candidate configurations")
     start = time.perf_counter()
     batch: List[StageInstance] = []
-    for conf in candidates:
+    for conf in SparkConf.from_matrix(candidates):
         batch.extend(retarget_instances(templates, conf, data_features, cluster))
     totals = predict(recommender.estimator, batch).reshape(
         len(candidates), len(templates)

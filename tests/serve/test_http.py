@@ -8,9 +8,12 @@ import urllib.request
 import numpy as np
 import pytest
 
+from repro.core.lite import RecommendQuery
 from repro.core.persistence import load_lite
 from repro.serve import LiteService, ModelRegistry, ServiceConfig, make_server
 from repro.sparksim import CLUSTER_C
+from repro.sparksim.cluster import CLUSTERS, ClusterSpec
+from repro.sparksim.costmodel import hostable_mask
 from repro.utils.rng import get_rng
 from repro.workloads import get_workload
 
@@ -98,6 +101,43 @@ class TestEndpoints:
         assert status == 200
         assert body["inflight"] == 0
         assert "registry" in body and "metrics" in body
+
+
+#: The benchmark's undersized cluster: no learned ACG region fits on it.
+TINY = ClusterSpec("tiny", num_nodes=1, cores_per_node=16, cpu_ghz=2.9,
+                   memory_gb_per_node=4.0, memory_mts=2666.0, network_gbps=1.0)
+
+
+class TestFallbackParity:
+    def test_library_batch_and_daemon_agree_on_fallback(
+            self, server, tenant_checkpoints, monkeypatch):
+        """Seeded full-range fallback rankings are bit-identical on every path."""
+        monkeypatch.setitem(CLUSTERS, TINY.name, TINY)
+        seeds = (3, 4, 5)
+        data = np.asarray(_recommend_payload()["data_features"])
+        lite = load_lite(tenant_checkpoints["acme"])
+        for seed in seeds:  # every query's ACG region is unhostable on TINY
+            rows = lite.candidate_generator.generate(APP, data[0], 40, get_rng(seed))
+            assert not hostable_mask(rows, TINY).any()
+
+        def ranking(rec):
+            return [[conf.as_dict(), t.hex()] for conf, t in rec.ranking]
+
+        direct = [
+            ranking(load_lite(tenant_checkpoints["acme"]).recommend(
+                APP, data, TINY, n_candidates=40, rng=get_rng(seed)))
+            for seed in seeds
+        ]
+        batch = [ranking(rec) for rec in lite.recommend_many(
+            APP, [RecommendQuery(data, 40, get_rng(seed)) for seed in seeds], TINY)]
+        http = []
+        for seed in seeds:
+            status, body, _ = _request(server, "POST", "/v1/recommend", _recommend_payload(
+                cluster=TINY.name, n_candidates=40, seed=seed))
+            assert status == 200, body
+            http.append([[conf, float(t).hex()] for conf, t in body["ranking"]])
+        assert direct == batch == http
+        assert all(1 <= len(r) <= 40 for r in direct)
 
 
 class TestErrorStatuses:

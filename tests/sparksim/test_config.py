@@ -11,6 +11,7 @@ from repro.sparksim.config import (
     NUM_KNOBS,
     KnobSpec,
     SparkConf,
+    canonical_matrix,
 )
 
 
@@ -116,6 +117,26 @@ class TestSparkConf:
         with pytest.raises(ValueError):
             SparkConf.from_matrix(np.zeros(NUM_KNOBS))
         assert SparkConf.from_matrix(np.zeros((0, NUM_KNOBS))) == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(
+        st.lists(st.floats(allow_nan=False), min_size=NUM_KNOBS, max_size=NUM_KNOBS),
+        min_size=1, max_size=5,
+    ))
+    def test_canonical_matrix_is_idempotent_to_vector_of_from_matrix(self, rows):
+        canonical = canonical_matrix(np.array(rows))
+        np.testing.assert_array_equal(canonical_matrix(canonical), canonical)
+        stacked = np.stack([c.to_vector() for c in SparkConf.from_matrix(np.array(rows))])
+        assert [v.hex() for v in canonical.ravel().tolist()] == [
+            v.hex() for v in stacked.ravel().tolist()]
+
+    def test_canonical_matrix_rejects_nan(self):
+        rows = np.stack([SparkConf().to_vector()] * 2)
+        rows[1, KNOB_NAMES.index("spark.executor.cores")] = np.nan
+        with pytest.raises(ValueError, match=r"spark.executor.cores=nan in row 1"):
+            canonical_matrix(rows)
+        with pytest.raises(ValueError):
+            canonical_matrix(np.zeros(NUM_KNOBS))
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(

@@ -1,14 +1,19 @@
 """Tests for the analytical cost model: knob responses and failure modes."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sparksim import CLUSTER_A, CLUSTER_B, CLUSTER_C, SparkConf
+from repro.sparksim import CLUSTER_A, CLUSTER_B, CLUSTER_C, KNOB_NAMES, NUM_KNOBS, SparkConf
+from repro.sparksim.cluster import ClusterSpec
+from repro.sparksim.config import KNOB_HIGHS, KNOB_LOWS, canonical_matrix
 from repro.sparksim.costmodel import (
     DEFAULT_COST_PARAMS,
     SparkJobError,
     StageCostModel,
+    hostable_mask,
     plan_executors,
 )
 from repro.sparksim.dag import StageMetrics
@@ -189,3 +194,108 @@ class TestProperties:
         t1, _ = MODEL.stage_time(base, conf_with(), CLUSTER_C)
         t2, _ = MODEL.stage_time(scaled, conf_with(), CLUSTER_C)
         assert t2 >= t1
+
+
+# ----------------------------------------------------------------------
+# hostable_mask: plan_executors' packing over a whole knob matrix
+# ----------------------------------------------------------------------
+#: The benchmark's undersized cluster, the serving tests' 2-node one, and
+#: a node smaller than the smallest legal driver.
+NAMED_CLUSTERS = (
+    CLUSTER_A, CLUSTER_B, CLUSTER_C,
+    ClusterSpec("tiny", num_nodes=1, cores_per_node=16, cpu_ghz=2.9,
+                memory_gb_per_node=4.0, memory_mts=2666.0, network_gbps=1.0),
+    ClusterSpec("tiny2", num_nodes=2, cores_per_node=4, cpu_ghz=2.0,
+                memory_gb_per_node=4.0, memory_mts=2400.0, network_gbps=1.0),
+    ClusterSpec("hopeless", num_nodes=1, cores_per_node=1, cpu_ghz=1.0,
+                memory_gb_per_node=0.5, memory_mts=2400.0, network_gbps=1.0),
+)
+_COL = {name.split(".", 1)[1]: KNOB_NAMES.index(name) for name in KNOB_NAMES}
+
+clusters = st.one_of(
+    st.sampled_from(NAMED_CLUSTERS),
+    st.builds(
+        lambda nodes, cores, mem: ClusterSpec("drawn", nodes, cores, 2.0, mem, 2400.0, 1.0),
+        st.integers(1, 8),
+        st.integers(1, 32),
+        st.one_of(st.integers(1, 64).map(float), st.floats(0.25, 80.0)),
+    ),
+)
+
+
+@st.composite
+def cluster_and_matrix(draw):
+    """A cluster and canonical knob rows, every other row forced to a boundary."""
+    cluster = draw(clusters)
+    n = draw(st.integers(1, 24))
+    unit = np.array(draw(st.lists(
+        st.lists(st.floats(0.0, 1.0), min_size=NUM_KNOBS, max_size=NUM_KNOBS),
+        min_size=n, max_size=n,
+    )))
+    matrix = KNOB_LOWS + unit * (KNOB_HIGHS - KNOB_LOWS)
+    edge = matrix[::2]
+    case = draw(st.sampled_from(
+        ["random", "exact-footprint", "driver-fills-node", "executor-wider-than-node"]))
+    if case == "exact-footprint":
+        # k executors fill node memory exactly, up to float rounding.
+        heap, overhead_mb = draw(st.integers(1, 32)), draw(st.integers(256, 4096))
+        k = draw(st.integers(1, 8))
+        cluster = replace(cluster, memory_gb_per_node=k * (heap + overhead_mb / 1024.0))
+        edge[:, _COL["executor.memory"]] = heap
+        edge[:, _COL["executor.memoryOverhead"]] = overhead_mb
+    elif case == "driver-fills-node":
+        cluster = replace(cluster, cores_per_node=draw(st.integers(1, 8)),
+                          memory_gb_per_node=float(draw(st.integers(1, 16))))
+        edge[:, _COL["driver.cores"]] = cluster.cores_per_node
+        edge[:, _COL["driver.memory"]] = cluster.memory_gb_per_node
+    elif case == "executor-wider-than-node":
+        cluster = replace(cluster, cores_per_node=draw(st.integers(1, 15)))
+        edge[:, _COL["executor.cores"]] = draw(st.integers(cluster.cores_per_node + 1, 16))
+    return cluster, canonical_matrix(matrix)
+
+
+def _scalar_hostable(matrix, cluster):
+    out = []
+    for conf in SparkConf.from_matrix(matrix):
+        try:
+            plan_executors(conf, cluster)
+        except SparkJobError:
+            out.append(False)
+        else:
+            out.append(True)
+    return out
+
+
+class TestHostableMask:
+    @settings(max_examples=300, deadline=None)
+    @given(cluster_and_matrix())
+    def test_mask_equals_scalar_plan_executors(self, case):
+        cluster, matrix = case
+        mask = hostable_mask(matrix, cluster)
+        assert mask.dtype == np.bool_ and mask.shape == (len(matrix),)
+        assert mask.tolist() == _scalar_hostable(matrix, cluster)
+
+    @pytest.mark.parametrize("cluster", NAMED_CLUSTERS, ids=lambda c: c.name)
+    def test_mask_on_a_large_uniform_draw(self, cluster):
+        rng = np.random.default_rng(3)
+        matrix = canonical_matrix(rng.uniform(KNOB_LOWS, KNOB_HIGHS, size=(2000, NUM_KNOBS)))
+        assert hostable_mask(matrix, cluster).tolist() == _scalar_hostable(matrix, cluster)
+
+    def test_boundaries(self):
+        """Exact memory fit, a driver filling the node, a too-wide executor."""
+        node = ClusterSpec("n", num_nodes=1, cores_per_node=4, cpu_ghz=2.0,
+                           memory_gb_per_node=4.0, memory_mts=2400.0, network_gbps=1.0)
+        base = SparkConf({"spark.driver.memory": 1, "spark.driver.cores": 1,
+                          "spark.executor.cores": 1}).to_vector()
+        rows = np.tile(base, (4, 1))
+        # 1 GB heap + 512 MB overhead: 1 GB driver leaves exactly 2 executors.
+        rows[0, _COL["executor.memoryOverhead"]] = 512
+        # The driver takes the whole node; nothing is left for executors.
+        rows[1, _COL["driver.memory"]] = 4
+        # 2 GB heap + 1024 MB overhead = 3 GB: fits 4 - 1 GB exactly.
+        rows[2, _COL["executor.memory"]] = 2
+        rows[2, _COL["executor.memoryOverhead"]] = 1024
+        # An executor wider than the node.
+        rows[3, _COL["executor.cores"]] = 5
+        assert hostable_mask(rows, node).tolist() == [True, False, True, False]
+        assert hostable_mask(rows, node).tolist() == _scalar_hostable(rows, node)
