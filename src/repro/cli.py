@@ -206,8 +206,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="models kept loaded at once (LRU beyond this)")
     p_serve.add_argument("--max-inflight", type=int, default=16,
                          help="concurrent requests before shedding with 503")
-    p_serve.add_argument("--batch-window-ms", type=float, default=2.0,
-                         help="micro-batch hold-open window per tenant")
     p_serve.add_argument("--quota-rps", type=float, default=None,
                          help="per-tenant sustained request rate; exhausted "
                               "tenants get 429 (default: quotas disabled)")
@@ -636,7 +634,6 @@ def cmd_serve(args) -> int:
     config = ServiceConfig(
         host=args.host, port=args.port,
         max_tenants=args.max_tenants, max_inflight=args.max_inflight,
-        batch_window_s=args.batch_window_ms / 1e3,
         quota_rps=args.quota_rps, quota_burst=args.quota_burst,
         audit_log=args.audit_log,
     )

@@ -186,19 +186,14 @@ def run_service_benchmark(
         services = (
             LiteService(registry, ServiceConfig(
                 max_tenants=n_tenants, max_inflight=max(threads * 4, 16),
-                batch_window_s=0.002, audit_log=str(audit_path),
+                audit_log=str(audit_path),
             )),
-            LiteService(registry, ServiceConfig(
-                max_inflight=64, batch_window_s=0.05,
-            )),
-            LiteService(registry, ServiceConfig(
-                max_inflight=1, batch_window_s=0.05,
-            )),
+            LiteService(registry, ServiceConfig(max_inflight=64)),
+            LiteService(registry, ServiceConfig(max_inflight=1)),
             # Tiny burst, near-zero refill: the quota phase exhausts the
             # bucket deterministically with a few sequential requests.
             LiteService(registry, ServiceConfig(
-                max_inflight=16, batch_window_s=0.002,
-                quota_rps=0.001, quota_burst=2,
+                max_inflight=16, quota_rps=0.001, quota_burst=2,
             )),
         )
         main, coalesce, overload, quota = (make_server(s) for s in services)

@@ -3,13 +3,16 @@
 The daemon's recommendation hot path is a batched tower-MLP forward whose
 per-row cost shrinks as the batch grows, so concurrent requests for the
 same (tenant, app, cluster) are worth coalescing into one
-``LITE.recommend_many`` call.  The first thread to arrive for a key
-becomes the *leader*: it holds the batch open for ``window_s`` (a couple
-of milliseconds — bounded added latency), then runs the whole batch and
-publishes results; threads arriving inside the window become *followers*
-that just wait for their slot.  ``predict_encoded`` is row-wise
-bit-stable across batch sizes, so a coalesced request returns exactly the
-ranking a standalone call would have.
+``LITE.recommend_many`` call.  Coalescing works like a database group
+commit: no request ever waits on a timer.  The first thread to arrive
+for a key becomes the *leader* of a new batch.  If no batch for that key
+is running, the leader closes its batch and runs it at once — a lone
+request pays nothing.  If one is running, the leader waits until it
+finishes; threads arriving meanwhile become *followers* that join the
+waiting batch and just wait for their slot.  So contended keys coalesce
+and idle keys do not wait.  ``predict_encoded`` is row-wise bit-stable
+across batch sizes, so a coalesced request returns exactly the ranking a
+standalone call would have.
 
 Error semantics: the batch runner validates nothing — callers must
 validate requests *before* submitting, so an exception out of the runner
@@ -29,8 +32,7 @@ decision per request.
 from __future__ import annotations
 
 import threading
-import time
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, TypeVar
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Set, TypeVar
 
 from .. import obs
 from ..obs import context as obs_context
@@ -56,14 +58,15 @@ class _Batch:
 
 
 class MicroBatcher:
-    """Per-key leader/follower request coalescing."""
+    """Per-key leader/follower request coalescing (group commit)."""
 
-    def __init__(self, window_s: float = 0.002):
-        if window_s < 0:
-            raise ValueError("window_s must be >= 0")
-        self.window_s = window_s
-        self._lock = threading.Lock()
-        self._pending: Dict[Hashable, _Batch] = {}
+    def __init__(self):
+        #: Guards both maps; its waiters are leaders queued behind a run.
+        self._lock = threading.Condition()
+        #: The batch per key still accepting items (its leader is waiting).
+        self._open: Dict[Hashable, _Batch] = {}
+        #: Keys whose batch is running now.
+        self._running: Set[Hashable] = set()
 
     def submit(
         self,
@@ -75,25 +78,27 @@ class MicroBatcher:
 
         The calling thread blocks until the batch leader has run
         ``run_batch`` over every coalesced item (order of arrival); the
-        leader is whichever caller opened the batch.  ``run_batch`` must
-        return one result per item, in order.
+        leader is whichever caller opened the batch, and it waits only
+        while the key's previous batch is still running.  ``run_batch``
+        must return one result per item, in order.
         """
         ctx = obs_context.capture()
         with self._lock:
-            batch = self._pending.get(key)
+            batch = self._open.get(key)
             leader = batch is None
             if leader:
                 batch = _Batch()
-                self._pending[key] = batch
+                self._open[key] = batch
             index = len(batch.items)
             batch.items.append(item)
             batch.ctxs.append(ctx)
+            if leader:
+                while key in self._running:
+                    self._lock.wait()
+                # Close the batch: later arrivals open the next one.
+                del self._open[key]
+                self._running.add(key)
         if leader:
-            if self.window_s > 0:
-                time.sleep(self.window_s)
-            with self._lock:
-                # Close the window: late arrivals open a fresh batch.
-                self._pending.pop(key, None)
             try:
                 with obs.span(obsn.SPAN_SERVE_BATCH_RUN) as sp:
                     if sp:
@@ -121,6 +126,9 @@ class MicroBatcher:
             except BaseException as exc:
                 batch.error = exc
             finally:
+                with self._lock:
+                    self._running.discard(key)
+                    self._lock.notify_all()
                 batch.done.set()
         else:
             batch.done.wait()

@@ -75,7 +75,6 @@ class ServiceConfig:
     port: int = 0                  #: 0 = let the OS pick (tests, benches)
     max_tenants: int = 4           #: registry LRU budget
     max_inflight: int = 16         #: admission-control bound
-    batch_window_s: float = 0.002  #: micro-batch hold-open window
     default_cluster: str = "C"
     retry_after_s: int = 1         #: advertised on 503 responses
     #: Per-tenant sustained request rate (tokens/s); None disables quotas.
@@ -120,7 +119,7 @@ class LiteService:
     def __init__(self, registry: ModelRegistry, config: Optional[ServiceConfig] = None):
         self.registry = registry
         self.config = config or ServiceConfig()
-        self.batcher = MicroBatcher(window_s=self.config.batch_window_s)
+        self.batcher = MicroBatcher()
         self.quota: Optional[QuotaManager] = (
             QuotaManager(self.config.quota_rps, self.config.quota_burst)
             if self.config.quota_rps is not None else None
@@ -201,6 +200,20 @@ class LiteService:
             raise ServiceError(400, f"{key!r} must be a non-empty string")
         return value
 
+    @staticmethod
+    def _parse_int(payload: Dict, key: str, minimum: int,
+                   default: Optional[int] = None) -> Optional[int]:
+        value = payload.get(key)
+        if value is None:
+            return default
+        try:
+            value = int(value)
+        except (TypeError, ValueError, OverflowError):
+            raise ServiceError(400, f"{key!r} must be an integer")
+        if value < minimum:
+            raise ServiceError(400, f"{key!r} must be >= {minimum}")
+        return value
+
     def _parse_cluster(self, payload: Dict):
         name = payload.get("cluster", self.config.default_cluster)
         try:
@@ -225,21 +238,9 @@ class LiteService:
                     400, "'data_features' must be a non-empty flat list of "
                          "finite numbers"
                 )
-            n_candidates = payload.get("n_candidates")
-            if n_candidates is not None:
-                try:
-                    n_candidates = int(n_candidates)
-                except (TypeError, ValueError):
-                    raise ServiceError(400, "'n_candidates' must be an integer")
-                if n_candidates < 1:
-                    raise ServiceError(400, "'n_candidates' must be >= 1")
+            n_candidates = self._parse_int(payload, "n_candidates", minimum=1)
             cluster = self._parse_cluster(payload)
-            seed = payload.get("seed")
-            if seed is not None:
-                try:
-                    seed = int(seed)
-                except (TypeError, ValueError):
-                    raise ServiceError(400, "'seed' must be an integer")
+            seed = self._parse_int(payload, "seed", minimum=0)
             rng = get_rng(seed) if seed is not None else None
             with self._admission():
                 try:
@@ -276,8 +277,10 @@ class LiteService:
             app = self._require_str(payload, "app")
             cluster = self._parse_cluster(payload)
             scale = payload.get("scale", "train0")
-            seed = int(payload.get("seed", 0))
-            update_now = bool(payload.get("update_now", False))
+            seed = self._parse_int(payload, "seed", minimum=0, default=0)
+            update_now = payload.get("update_now", False)
+            if not isinstance(update_now, bool):
+                raise ServiceError(400, "'update_now' must be a JSON boolean")
             conf_values = payload.get("conf") or {}
             if not isinstance(conf_values, dict):
                 raise ServiceError(400, "'conf' must be a knob-name -> value object")
@@ -413,6 +416,10 @@ class LiteService:
 class _RequestHandler(BaseHTTPRequestHandler):
     service: LiteService   # injected by make_server onto the subclass
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in two writes.  With Nagle on, the body
+    # waits for the ACK of the headers, which a keep-alive client delays
+    # by ~40 ms; TCP_NODELAY sends the body at once.
+    disable_nagle_algorithm = True
 
     # -- plumbing ---------------------------------------------------------
     def log_message(self, format, *args):   # noqa: A002 - stdlib signature

@@ -4,8 +4,9 @@ Three layers of guarantee, strongest first:
 
 - fused float64 == taped float64, *bit for bit* — the fused kernel runs
   the same matmul/add/activation sequence without building a tape;
-- float32 vs float64 ``predict_encoded``: identical top-k ordering and
-  bounded relative error (the dtype-equivalence contract the serving
+- float32 vs float64 ``predict_encoded``: bounded relative error, and
+  the same ranking except between candidates whose float64 totals are
+  within that bound (the dtype-equivalence contract the serving
   benchmark gates on);
 - plumbing: snapshot invalidation on version bumps, cast-cache reuse,
   pickle safety (thread-local scratch buffers must not leak into
@@ -17,7 +18,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.instances import numeric_feature_rows
 from repro.core.serving_dtype import (
@@ -26,6 +27,7 @@ from repro.core.serving_dtype import (
     cast_array,
     resolve_dtype,
 )
+from repro.experiments.serving_bench import DTYPE_REL_ERR_BOUND
 from repro.nn.fused import fused_forward
 from repro import nn
 from repro.utils.rng import get_rng
@@ -100,15 +102,20 @@ class TestPredictEncodedEquivalence:
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
+    @example(seed=7081)   # near-tied pairs swap between the two orders
+    @example(seed=2333)
     def test_float32_topk_and_rel_error(self, fitted_necs, encoded, seed):
         rows = _rows(seed, n=12)
         full = fitted_necs.predict_encoded(encoded, rows, dtype="float64")
         fast = fitted_necs.predict_encoded(encoded, rows, dtype="float32")
-        # Identical ranking of candidates by total predicted time.
-        np.testing.assert_array_equal(
-            np.argsort(full.sum(axis=1), kind="stable"),
-            np.argsort(fast.sum(axis=1), kind="stable"),
-        )
+        # Same ranking by total predicted time, except that float32 may
+        # swap candidates whose float64 totals are within the dtype bound.
+        total = full.sum(axis=1)
+        order64 = np.argsort(total, kind="stable")
+        order32 = np.argsort(fast.sum(axis=1), kind="stable")
+        a, b = total[order64], total[order32]
+        tied = np.abs(a - b) <= DTYPE_REL_ERR_BOUND * np.maximum(np.abs(a), np.abs(b))
+        assert np.all((order64 == order32) | tied), (order64, order32)
         rel = np.abs(fast - full) / np.maximum(np.abs(full), 1e-30)
         assert rel.max() < 1e-5
 

@@ -1,7 +1,10 @@
 """End-to-end HTTP tests: real ThreadingHTTPServer, real sockets."""
 
+import http.client
 import json
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -23,7 +26,7 @@ APP = "PageRank"
 @pytest.fixture()
 def server(tenant_checkpoints):
     reg = ModelRegistry(tenant_checkpoints)
-    service = LiteService(reg, ServiceConfig(batch_window_s=0.0))
+    service = LiteService(reg)
     srv = make_server(service)
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
     thread.start()
@@ -140,6 +143,30 @@ class TestFallbackParity:
         assert all(1 <= len(r) <= 40 for r in direct)
 
 
+class TestKeepAlive:
+    @pytest.mark.parametrize("path", ["/v1/health", "/v1/metrics"])
+    def test_no_delayed_ack_stall(self, server, path):
+        """Keep-alive requests on one connection answer without a ~40 ms stall.
+
+        Headers and body leave in two writes; with Nagle on, the body
+        waits for the client's delayed ACK of the headers.
+        """
+        conn = http.client.HTTPConnection("127.0.0.1", server.server_address[1],
+                                          timeout=30)
+        try:
+            latencies = []
+            for _ in range(10):
+                t0 = time.perf_counter()
+                conn.request("GET", path)
+                resp = conn.getresponse()
+                resp.read()
+                latencies.append(time.perf_counter() - t0)
+                assert resp.status == 200
+        finally:
+            conn.close()
+        assert statistics.median(latencies) < 0.020, latencies
+
+
 class TestErrorStatuses:
     def test_malformed_json_is_400(self, server):
         status, body, _ = _request(
@@ -163,6 +190,27 @@ class TestErrorStatuses:
             server, "POST", "/v1/recommend", _recommend_payload(tenant="nobody"))
         assert status == 404
         assert "unknown tenant" in body["error"]
+
+    @pytest.mark.parametrize("bad", [
+        {"seed": "abc"}, {"seed": [1]}, {"seed": -1},
+        {"update_now": "false"}, {"update_now": 1}, {"update_now": None},
+    ])
+    def test_bad_feedback_fields_are_400(self, server, bad):
+        status, _, _ = _request(server, "POST", "/v1/feedback", {
+            "tenant": "acme", "app": APP, "scale": "train0"})
+        assert status == 200
+        service = server.RequestHandlerClass.service
+        lite = service.registry.peek_loaded()["acme"]
+        version = lite.estimator.version
+
+        status, body, _ = _request(server, "POST", "/v1/feedback", {
+            "tenant": "acme", "app": APP, "scale": "train0", **bad})
+        assert status == 400, body
+        assert next(iter(bad)) in body["error"]
+        # A client error is not an outage, and a string "false" must not
+        # read as a request for an adaptive update.
+        assert service.slo.snapshot()["slos"]["availability"]["bad_total"] == 0
+        assert lite.estimator.version == version
 
     def test_unknown_endpoint_is_404(self, server):
         status, body, _ = _request(server, "GET", "/v1/nope")

@@ -33,9 +33,7 @@ def _fresh_obs_state():
 @pytest.fixture()
 def service(tenant_checkpoints, tmp_path):
     reg = ModelRegistry(tenant_checkpoints)
-    svc = LiteService(reg, ServiceConfig(
-        batch_window_s=0.0, audit_log=str(tmp_path / "audit.jsonl"),
-    ))
+    svc = LiteService(reg, ServiceConfig(audit_log=str(tmp_path / "audit.jsonl")))
     yield svc
     svc.close()
 
@@ -156,7 +154,7 @@ class TestEndToEndTrace:
         """The full chain: HTTP handler -> feedback -> adaptive update of
         NECS, one trace id throughout."""
         ckpt = {"acme": tenant_checkpoints["acme"]}
-        svc = LiteService(ModelRegistry(ckpt), ServiceConfig(batch_window_s=0.0))
+        svc = LiteService(ModelRegistry(ckpt))
         srv = make_server(svc)
         threading.Thread(target=srv.serve_forever, daemon=True).start()
         obs.enable_tracing()
@@ -253,8 +251,7 @@ class TestAuditLog:
         assert snap[obsn.CTR_SERVE_AUDIT_RECORDS]["value"] == 1
 
     def test_no_audit_without_config(self, tenant_checkpoints):
-        svc = LiteService(ModelRegistry(tenant_checkpoints),
-                          ServiceConfig(batch_window_s=0.0))
+        svc = LiteService(ModelRegistry(tenant_checkpoints))
         assert svc.audit is None
         svc.close()   # close is safe without an audit handle
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.serve import LiteService, ModelRegistry, ServiceConfig, ServiceError
+from repro.serve import LiteService, ModelRegistry, ServiceError
 from repro.sparksim import CLUSTER_C
 from repro.utils.rng import get_rng
 from repro.workloads import get_workload
@@ -16,7 +16,7 @@ def service(tenant_lites):
     reg = ModelRegistry(max_tenants=4)
     for name, lite in tenant_lites.items():
         reg.register(name, lite)
-    return LiteService(reg, ServiceConfig(batch_window_s=0.0))
+    return LiteService(reg)
 
 
 def _payload(**over):
@@ -59,10 +59,16 @@ class TestRecommendValidation:
             service.recommend(_payload(data_features=bad))
         assert _status(excinfo) == 400
 
-    @pytest.mark.parametrize("bad", [0, -1, "many"])
+    @pytest.mark.parametrize("bad", [0, -1, "many", float("inf")])
     def test_bad_n_candidates_are_400(self, service, bad):
         with pytest.raises(ServiceError) as excinfo:
             service.recommend(_payload(n_candidates=bad))
+        assert _status(excinfo) == 400
+
+    @pytest.mark.parametrize("bad", [-1, "abc", [1], float("inf")])
+    def test_bad_seed_is_400(self, service, bad):
+        with pytest.raises(ServiceError) as excinfo:
+            service.recommend(_payload(seed=bad))
         assert _status(excinfo) == 400
 
     @pytest.mark.parametrize("field", ["tenant", "app"])

@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from repro.serve import LiteService, ModelRegistry, ServiceConfig
+from repro.serve import LiteService, ModelRegistry
 from repro.sparksim import CLUSTER_C
 from repro.utils.rng import get_rng
 from repro.workloads import get_workload
@@ -31,7 +31,7 @@ def service(tenant_lites):
     reg = ModelRegistry(max_tenants=4)
     for name, lite in tenant_lites.items():
         reg.register(name, lite)
-    return LiteService(reg, ServiceConfig(batch_window_s=0.002))
+    return LiteService(reg)
 
 
 def _features():
