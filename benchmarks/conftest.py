@@ -11,16 +11,9 @@ substrate is CPU-only) but every method and every comparison is present.
 from __future__ import annotations
 
 import inspect
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
-
-# The training and serving benchmarks time the reference paths kept as a
-# test oracle in ``tests/necs_oracle.py``; make ``tests`` importable under
-# a plain ``pytest benchmarks/`` too.
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 
 @pytest.fixture(autouse=True)

@@ -86,10 +86,10 @@ def _is_serving_dtype(path: str) -> bool:
 
 
 class _LintVisitor(ast.NodeVisitor):
-    def __init__(self, path: str, substrate: bool, serving_dtype: bool = False):
+    def __init__(self, path: str, substrate: bool, dtype_boundary: bool = False):
         self.path = path
         self.substrate = substrate
-        self.serving_dtype = serving_dtype
+        self.dtype_boundary = dtype_boundary
         self.diagnostics: List[Diagnostic] = []
         #: (lineno, col) of ``.data``/``.grad`` attribute nodes already
         #: reported as mutations, so REP101 does not double-report them.
@@ -160,7 +160,7 @@ class _LintVisitor(ast.NodeVisitor):
         # REP104: np.float32 attribute
         chain = _attr_chain(node)
         if (
-            not self.serving_dtype
+            not self.dtype_boundary
             and chain
             and chain[0] in _NUMPY_NAMES
             and chain[-1] in ("float32", "single")
@@ -189,7 +189,7 @@ class _LintVisitor(ast.NodeVisitor):
                 )
 
         # REP104: astype("float32") / dtype="float32"
-        if not self.serving_dtype:
+        if not self.dtype_boundary:
             if isinstance(node.func, ast.Attribute) and node.func.attr == "astype":
                 for arg in node.args:
                     if isinstance(arg, ast.Constant) and arg.value == "float32":
@@ -229,7 +229,7 @@ def lint_source(source: str, path: str = "<string>") -> List[Diagnostic]:
     visitor = _LintVisitor(
         path,
         substrate=_is_substrate(path),
-        serving_dtype=_is_serving_dtype(path),
+        dtype_boundary=_is_serving_dtype(path),
     )
     visitor.visit(tree)
     return apply_suppressions(visitor.diagnostics, noqa_lines(source))

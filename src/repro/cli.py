@@ -11,11 +11,8 @@ Commands
 - ``stats``      run an observable lifecycle and report the obs metrics
 - ``trace``      run an observable lifecycle with tracing, print the span tree
 - ``serve``      run the multi-tenant HTTP serving daemon over saved models
-- ``bench-recommend`` serving-latency benchmark (fused vs. taped tower)
-- ``bench-train`` training-throughput benchmark (fit and adaptive update)
 - ``bench-obs``  observability-overhead benchmark (suppressed/disabled/enabled)
 - ``bench-chaos`` fault-injection harness: the full lifecycle under chaos
-- ``bench-service`` serving-daemon benchmark (throughput/p99/bit-identity)
 - ``bench-adapt`` task-switch detection + transfer warm-start benchmark
 
 Progress chatter goes to stderr through the shared ``repro.obs.log``
@@ -150,37 +147,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--jsonl", default=None,
                          help="also export the spans as JSON-lines to this path")
 
-    p_bench = sub.add_parser(
-        "bench-recommend",
-        help="measure rank latency: fused float32/float64 vs. taped tower")
-    p_bench.add_argument("--model", default=None,
-                         help="saved LITE model to benchmark (default: train a small one)")
-    p_bench.add_argument("--app", default="PageRank")
-    p_bench.add_argument("--cluster", default="C", choices=("A", "B", "C"))
-    p_bench.add_argument("--candidates", type=int, default=40)
-    p_bench.add_argument("--repeats", type=int, default=20)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--dtype", default=None, choices=("float32", "float64"),
-                         help="serving dtype for the fast path "
-                              "(default: the trained config's, float32)")
-    p_bench.add_argument("--smoke", action="store_true",
-                         help="tiny corpus/model and few repeats (CI gate)")
-    p_bench.add_argument("--out", default="BENCH_serving.json",
-                         help="where to write the JSON report")
-    p_bench.add_argument("--json", action="store_true", help="machine-readable output")
-
-    p_btrain = sub.add_parser(
-        "bench-train",
-        help="measure training throughput: fit and adaptive update inst/s")
-    p_btrain.add_argument("--epochs", type=int, default=4)
-    p_btrain.add_argument("--update-epochs", type=int, default=2)
-    p_btrain.add_argument("--seed", type=int, default=0)
-    p_btrain.add_argument("--smoke", action="store_true",
-                          help="tiny corpus and few epochs (CI gate)")
-    p_btrain.add_argument("--out", default="BENCH_training.json",
-                          help="where to write the JSON report")
-    p_btrain.add_argument("--json", action="store_true", help="machine-readable output")
-
     p_bobs = sub.add_parser(
         "bench-obs",
         help="measure obs overhead: suppressed baseline vs. disabled vs. enabled")
@@ -214,21 +180,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--audit-log", default=None, metavar="PATH",
                          help="append one JSONL audit record per request "
                               "(tenant, route, status, latency, trace id)")
-
-    p_bsvc = sub.add_parser(
-        "bench-service",
-        help="benchmark the serving daemon: throughput, p99, bit-identical "
-             "rankings, eviction and load shedding")
-    p_bsvc.add_argument("--tenants", type=int, default=2)
-    p_bsvc.add_argument("--requests", type=int, default=200)
-    p_bsvc.add_argument("--threads", type=int, default=4)
-    p_bsvc.add_argument("--candidates", type=int, default=8)
-    p_bsvc.add_argument("--seed", type=int, default=0)
-    p_bsvc.add_argument("--smoke", action="store_true",
-                        help="tiny tenants and few requests (CI gate)")
-    p_bsvc.add_argument("--out", default="BENCH_service.json",
-                        help="where to write the JSON report")
-    p_bsvc.add_argument("--json", action="store_true", help="machine-readable output")
 
     p_chaos = sub.add_parser(
         "bench-chaos",
@@ -527,66 +478,6 @@ def cmd_trace(args) -> int:
     return 0
 
 
-def cmd_bench_recommend(args) -> int:
-    from .experiments.serving_bench import build_serving_lite, run_serving_benchmark
-
-    if args.model:
-        from .core.persistence import load_lite
-
-        lite = load_lite(args.model)
-    else:
-        _LOG.info("training a small benchmark system...")
-        lite = build_serving_lite(smoke=args.smoke, seed=args.seed)
-    result = run_serving_benchmark(
-        n_candidates=args.candidates, repeats=args.repeats, smoke=args.smoke,
-        seed=args.seed, out=args.out, lite=lite,
-        app_name=args.app, cluster_name=args.cluster, dtype=args.dtype,
-    )
-    eq = result["dtype_equivalence"]
-    if args.json:
-        _result(json.dumps(result, indent=2))
-    else:
-        fast, taped = result["fast"], result["fast_taped"]
-        _result(f"serving latency for {result['app']} "
-                f"({result['n_candidates']} candidates x {result['n_stages']} stages, "
-                f"{result['repeats']} repeats, dtype {result['dtype']}):")
-        _result(f"  fast path:      p50 {fast['p50_ms']:8.2f} ms  p95 {fast['p95_ms']:8.2f} ms  "
-                f"{fast['candidates_per_s']:10.0f} cand/s")
-        _result(f"  taped float64:  p50 {taped['p50_ms']:8.2f} ms  p95 {taped['p95_ms']:8.2f} ms  "
-                f"{taped['candidates_per_s']:10.0f} cand/s")
-        _result(f"  speedup: {result['speedup_p50_vs_taped']:.1f}x tower forward vs taped "
-                f"(floor {result['speedup_vs_taped_floor']}x, "
-                f"ok: {result['speedup_vs_taped_ok']})")
-        _result(f"  fused float64 totals bit-identical to taped: "
-                f"{result['totals_bit_identical']}; "
-                f"top-{eq['topk']} identical: {eq['topk_identical']} "
-                f"(max rel err {eq['max_rel_err']:.1e})")
-        _result(f"wrote {result['out']}")
-    ok = result["totals_bit_identical"] and eq["within_tolerance"]
-    return 0 if ok else 1
-
-
-def cmd_bench_train(args) -> int:
-    from .experiments.train_bench import run_training_benchmark
-
-    _LOG.info("collecting corpus and timing fit + adaptive update...")
-    result = run_training_benchmark(
-        epochs=args.epochs, update_epochs=args.update_epochs,
-        smoke=args.smoke, seed=args.seed, out=args.out,
-    )
-    if args.json:
-        _result(json.dumps(result, indent=2))
-    else:
-        fit, upd = result["fit"], result["update"]
-        _result(f"training throughput on {result['n_train_instances']} instances "
-                f"({result['n_unique_templates']} unique templates, "
-                f"dedup factor {result['dedup_factor']:.1f}):")
-        _result(f"  fit     {fit['inst_per_s']:8.0f} inst/s   ({fit['seconds']:.3f} s)")
-        _result(f"  update  {upd['inst_per_s']:8.0f} inst/s   ({upd['seconds']:.3f} s)")
-        _result(f"wrote {result['out']}")
-    return 0
-
-
 def cmd_bench_obs(args) -> int:
     from .experiments.obs_bench import run_obs_benchmark
 
@@ -654,31 +545,6 @@ def cmd_serve(args) -> int:
         server.server_close()
         service.close()
     return 0
-
-
-def cmd_bench_service(args) -> int:
-    from .experiments.service_bench import run_service_benchmark
-
-    _LOG.info("training tenant checkpoints and driving the daemon...")
-    result = run_service_benchmark(
-        n_tenants=args.tenants, n_requests=args.requests,
-        threads=args.threads, n_candidates=args.candidates,
-        smoke=args.smoke, seed=args.seed, out=args.out,
-    )
-    if args.json:
-        _result(json.dumps(result, indent=2))
-    else:
-        lat = result["latency"]
-        _result(f"serving daemon, {result['n_tenants']} tenants, "
-                f"{result['n_requests']} requests x {result['threads']} threads:")
-        _result(f"  throughput {result['throughput_rps']:8.1f} req/s   "
-                f"p50 {lat['p50_ms']:7.1f} ms   p99 {lat['p99_ms']:7.1f} ms")
-        _result(f"  overload: {result['overload']['rejections']}/"
-                f"{result['overload']['burst']} shed with Retry-After")
-        for name, ok in sorted(result["checks"].items()):
-            _result(f"  [{'ok' if ok else 'FAIL'}] {name}")
-        _result(f"wrote {result['out']}")
-    return 0 if result["ok"] else 1
 
 
 def cmd_bench_chaos(args) -> int:
@@ -762,9 +628,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "stats": cmd_stats,
         "trace": cmd_trace,
         "serve": cmd_serve,
-        "bench-recommend": cmd_bench_recommend,
-        "bench-service": cmd_bench_service,
-        "bench-train": cmd_bench_train,
         "bench-obs": cmd_bench_obs,
         "bench-chaos": cmd_bench_chaos,
         "bench-adapt": cmd_bench_adapt,

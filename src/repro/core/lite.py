@@ -83,6 +83,12 @@ class LITEConfig:
     seed: int = 0
 
 
+#: Most candidates one query may rank.  Ranking holds about 27 KB per
+#: candidate, and the daemon's admission and quota limits count requests,
+#: not candidates, so one uncapped query could exhaust a server's memory.
+MAX_CANDIDATES = 1000
+
+
 @dataclass
 class RecommendQuery:
     """One recommendation request inside a :meth:`LITE.recommend_many` batch."""
@@ -364,23 +370,7 @@ class LITE:
             raise ValueError("no recommendation queries")
         with obs.span(obsn.SPAN_RECOMMEND) as sp:
             obs.counter(obsn.CTR_RECOMMENDATIONS).inc(len(queries))
-            prepared: List[Tuple[np.ndarray, int]] = []
-            for q in queries:
-                feats = np.atleast_1d(np.asarray(q.data_features, dtype=np.float64))
-                if feats.size == 0:
-                    raise ValueError(
-                        f"data_features for {app_name!r} is empty; expected at "
-                        "least the datasize feature"
-                    )
-                if q.n_candidates is None:
-                    n = self.config.n_candidates
-                else:
-                    n = int(q.n_candidates)
-                    if n < 1:
-                        raise ValueError(
-                            f"n_candidates must be >= 1, got {q.n_candidates!r}"
-                        )
-                prepared.append((feats, n))
+            prepared = [self.check_query(q, cluster) for q in queries]
             with self._lock:
                 rngs: List[np.random.Generator] = []
                 for q in queries:
@@ -445,6 +435,43 @@ class LITE:
                        n_hostable=n_hostable, n_fallback=n_fallback,
                        cache_hit=cache_hit)
         return recs
+
+    def check_query(
+        self, query: RecommendQuery, cluster: ClusterSpec
+    ) -> Tuple[np.ndarray, int]:
+        """``(data_features, n_candidates)`` of one query, validated.
+
+        :meth:`recommend_many` checks every query here; the daemon also
+        checks each request before it joins a batch, so one bad request
+        cannot fail the requests coalesced with it.  Raises ``ValueError``
+        when ``data_features`` does not have the width the model was
+        trained on (rows, columns, iterations, partitions), holds a
+        negative or non-finite value (a negative row count makes the
+        ``log1p`` datasize feature NaN), or when ``n_candidates`` lies
+        outside ``[1, MAX_CANDIDATES]``.
+        """
+        feats = np.atleast_1d(np.asarray(query.data_features, dtype=np.float64))
+        width = (self.estimator.numeric_scaler.mean_.size
+                 - cluster.feature_vector().size - len(KNOB_SPECS))
+        if feats.ndim != 1 or feats.size != width:
+            got = "is empty" if feats.size == 0 else f"has shape {feats.shape}"
+            raise ValueError(
+                f"data_features {got}; this model expects {width} values "
+                "(rows, columns, iterations, partitions)"
+            )
+        if not np.all(np.isfinite(feats)) or np.any(feats < 0):
+            raise ValueError(
+                f"data_features must be finite and >= 0, got {feats.tolist()}"
+            )
+        if query.n_candidates is None:
+            return feats, self.config.n_candidates
+        n = int(query.n_candidates)
+        if not 1 <= n <= MAX_CANDIDATES:
+            raise ValueError(
+                f"n_candidates must be in [1, {MAX_CANDIDATES}], "
+                f"got {query.n_candidates!r}"
+            )
+        return feats, n
 
     def _sample_hostable(
         self, cluster: ClusterSpec, n: int, rng: np.random.Generator

@@ -63,10 +63,6 @@ class NECSConfig:
     lr: float = 2e-3
     grad_clip: float = 5.0
     seed: int = 0
-    #: Tower dtype for the ``predict_encoded`` serving fast path (see
-    #: :mod:`repro.core.serving_dtype`); ``"float64"`` opts out of the
-    #: float32 cast.  Training is float64 regardless.
-    serving_dtype: str = "float32"
 
 
 class NECSNetwork(nn.Module):
@@ -205,11 +201,10 @@ class EncodedTemplates:
     version: int                                           # estimator.version at encode time
     h_code: Optional[np.ndarray] = None                    # (S, code_out), lazy
     h_dag: Optional[np.ndarray] = None                     # (S, gcn_hidden), lazy
-    #: Serving-dtype casts of ``h_code``/``h_dag`` (filled lazily under
-    #: ``_lock`` by the float32 fast path; ``None`` until first use).
+    #: float32 casts of ``h_code``/``h_dag`` (filled lazily under
+    #: ``_lock`` by the serving fast path; ``None`` until first use).
     h_code_cast: Optional[np.ndarray] = None
     h_dag_cast: Optional[np.ndarray] = None
-    cast_dtype: Optional[str] = None
     #: Serialises the lazy ``h_code``/``h_dag`` fill: two concurrent first
     #: uses would otherwise both run the CNN/GCN and clobber each other.
     _lock: threading.Lock = field(
@@ -226,7 +221,6 @@ class EncodedTemplates:
         # the cast fields; default them rather than growing a migration.
         state.setdefault("h_code_cast", None)
         state.setdefault("h_dag_cast", None)
-        state.setdefault("cast_dtype", None)
         self.__dict__.update(state)
         self._lock = threading.Lock()
 
@@ -544,25 +538,20 @@ class NECSEstimator:
             return encoded.h_code, encoded.h_dag
 
     def _cast_template_embeddings(
-        self, encoded: EncodedTemplates, dtype_name: str
+        self, encoded: EncodedTemplates
     ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
-        """Serving-dtype casts of the cached template embeddings.
+        """float32 casts of the cached template embeddings.
 
-        float64 passes the cached arrays through untouched; float32 casts
-        once per (encoding, dtype) and caches the result on the entry —
-        the fill runs under ``encoded._lock`` like the embedding fill.
+        Cast once per encoding and cached on the entry; the fill runs
+        under ``encoded._lock`` like the embedding fill.
         """
-        h_code, h_dag = encoded.h_code, encoded.h_dag
-        if dtype_name == "float64":
-            return h_code, h_dag
         with encoded._lock:
-            if encoded.cast_dtype != dtype_name:
-                encoded.h_code_cast = serving_dtype.cast_array(h_code, dtype_name)
-                encoded.h_dag_cast = serving_dtype.cast_array(h_dag, dtype_name)
-                encoded.cast_dtype = dtype_name
+            if encoded.h_code_cast is None and encoded.h_dag_cast is None:
+                encoded.h_code_cast = serving_dtype.cast_array(encoded.h_code)
+                encoded.h_dag_cast = serving_dtype.cast_array(encoded.h_dag)
             return encoded.h_code_cast, encoded.h_dag_cast
 
-    def _tower_snapshot(self, dtype_name: str) -> serving_dtype.TowerSnapshot:
+    def _tower_snapshot(self) -> serving_dtype.TowerSnapshot:
         """The inference snapshot of the tower MLP, rebuilt on staleness.
 
         Guarded by the ``version`` stamp: a concurrent rebuild race is
@@ -570,31 +559,24 @@ class NECSEstimator:
         wins and each caller keeps using the one it fetched).
         """
         snap = self._serving_snapshot
-        if snap is None or snap.version != self.version or snap.dtype_name != dtype_name:
-            snap = serving_dtype.TowerSnapshot(self.network.mlp, dtype_name, self.version)
+        if snap is None or snap.version != self.version:
+            snap = serving_dtype.TowerSnapshot(self.network.mlp, self.version)
             self._serving_snapshot = snap
         return snap
 
     def warm_serving(self, encoded: EncodedTemplates) -> None:
         """Precompute the serving fast path's derived state.
 
-        Fills the template-embedding cache, its serving-dtype cast, and
-        the tower snapshot — called by ``LITE`` inside the timed encode
+        Fills the template-embedding cache, its float32 cast, and the
+        tower snapshot — called by ``LITE`` inside the timed encode
         section so request latency never pays for a cold cast.
         """
-        dtype_name = serving_dtype.resolve_dtype(
-            getattr(self.config, "serving_dtype", None)
-        )
         self.template_embeddings(encoded)
-        self._cast_template_embeddings(encoded, dtype_name)
-        self._tower_snapshot(dtype_name)
+        self._cast_template_embeddings(encoded)
+        self._tower_snapshot()
 
     def predict_encoded(
-        self,
-        encoded: EncodedTemplates,
-        numeric_rows: np.ndarray,
-        dtype: Optional[str] = None,
-        fused: bool = True,
+        self, encoded: EncodedTemplates, numeric_rows: np.ndarray
     ) -> np.ndarray:
         """Score N candidates against pre-encoded templates in one forward.
 
@@ -605,61 +587,36 @@ class NECSEstimator:
         ``N * n_stages`` rows; the code/DAG embeddings are reused from the
         template cache.
 
-        ``fused=True`` (default) runs the no-tape fused kernel on a
-        version-stamped :class:`~repro.core.serving_dtype.TowerSnapshot`
-        in ``dtype`` (``None`` = ``config.serving_dtype``, float32 by
-        default).  In float64 the fused path is bit-identical to the taped
-        one; in float32 the contract is identical top-k rankings with
-        bounded relative error.  ``fused=False`` keeps the taped float64
-        forward — the pre-fusion reference path the serving benchmark
-        times against.
+        The forward is the no-tape fused kernel on a version-stamped
+        float32 :class:`~repro.core.serving_dtype.TowerSnapshot`.  Its
+        contract against the taped float64 forward (kept in the tests as
+        the oracle) is a relative error within
+        ``serving_dtype.DTYPE_REL_ERR_BOUND`` and the same ranking except
+        between candidates whose float64 totals lie within that bound.
         """
         if self.network is None:
             raise RuntimeError("NECS is not fitted")
         self._check_version(encoded)
-        if not fused:
-            if dtype == "float32":
-                raise ValueError(
-                    "the taped reference path is float64-only; use fused=True "
-                    "for float32 serving"
-                )
-            dtype_name = "float64"
-        else:
-            dtype_name = serving_dtype.resolve_dtype(
-                dtype if dtype is not None
-                else getattr(self.config, "serving_dtype", None)
-            )
         with obs.span(obsn.SPAN_NECS_PREDICT_ENCODED) as sp:
-            h_code, h_dag = self.template_embeddings(encoded)
+            self.template_embeddings(encoded)
             numeric = self.numeric_scaler.transform(
                 np.asarray(numeric_rows, dtype=np.float64)
             )
             n, s = numeric.shape[0], encoded.n_stages
             if sp:
-                sp.set(app=encoded.app_name, n_candidates=n, n_stages=s,
-                       dtype=dtype_name, fused=bool(fused))
+                sp.set(app=encoded.app_name, n_candidates=n, n_stages=s)
             # Candidate-major, stage-minor — the same row order the
             # per-instance path produces when it fans templates out over
             # candidates.
-            if fused:
-                snap = self._tower_snapshot(dtype_name)
-                h_code, h_dag = self._cast_template_embeddings(encoded, dtype_name)
-                parts = [np.repeat(snap.cast_features(numeric), s, axis=0)]
-                if h_code is not None:
-                    parts.append(np.tile(h_code, (n, 1)))
-                if h_dag is not None:
-                    parts.append(np.tile(h_dag, (n, 1)))
-                feats = np.concatenate(parts, axis=1)
-                out = snap.forward(feats).reshape(n, s)
-            else:
-                parts = [np.repeat(numeric, s, axis=0)]
-                if h_code is not None:
-                    parts.append(np.tile(h_code, (n, 1)))
-                if h_dag is not None:
-                    parts.append(np.tile(h_dag, (n, 1)))
-                feats = np.concatenate(parts, axis=1)
-                with self._eval_mode():
-                    out = self.network.mlp(nn.Tensor(feats)).numpy().reshape(n, s)
+            snap = self._tower_snapshot()
+            h_code, h_dag = self._cast_template_embeddings(encoded)
+            parts = [np.repeat(serving_dtype.cast_array(numeric), s, axis=0)]
+            if h_code is not None:
+                parts.append(np.tile(h_code, (n, 1)))
+            if h_dag is not None:
+                parts.append(np.tile(h_dag, (n, 1)))
+            feats = np.concatenate(parts, axis=1)
+            out = snap.forward(feats).reshape(n, s)
             return np.expm1(out * self._y_std + self._y_mean)
 
     # ------------------------------------------------------------------

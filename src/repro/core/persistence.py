@@ -42,7 +42,9 @@ FORMAT = "repro-lite"
 # v6: NECSConfig grew the parallel-substrate knobs (``train_workers``,
 # ``train_shard_rows``, ``serving_dtype``).  The config is a *frozen*
 # dataclass, so a v5 checkpoint's instance is rebuilt field-by-field with
-# the new defaults instead of patched with setattr.
+# the new defaults instead of patched with setattr.  All three fields are
+# gone again: the rebuild drops them, and a v6+ config keeps them as stray
+# attributes that nothing reads.
 # v7: the global DriftMonitor became a KeyedDriftMonitor (per-app windows
 # behind the same aggregate), LITE grew the TaskSwitchDetector and the
 # transfer warm-start config/ledger.  A v6 monitor's window contents and

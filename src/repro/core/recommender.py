@@ -84,8 +84,6 @@ class KnobRecommender:
         data_features: np.ndarray,
         cluster: ClusterSpec,
         encoded: Optional[EncodedTemplates] = None,
-        dtype: Optional[str] = None,
-        fused: bool = True,
     ) -> Recommendation:
         """Serving fast path: encode templates once, score all candidates.
 
@@ -97,15 +95,9 @@ class KnobRecommender:
         ``encoded`` lets the caller (LITE) reuse a cached template encoding
         across calls; without it the templates are encoded here, which still
         amortises the code/DAG embeddings over all candidates.
-
-        ``dtype``/``fused`` select the tower path (see
-        ``NECSEstimator.predict_encoded``): the default is the fused
-        serving-dtype kernel; ``dtype="float64"`` pins full precision and
-        ``fused=False`` keeps the taped reference forward.
         """
         return self.rank_many(
             templates, [candidates], [data_features], cluster, encoded=encoded,
-            dtype=dtype, fused=fused,
         )[0]
 
     def rank_many(
@@ -115,8 +107,6 @@ class KnobRecommender:
         data_features_list: Sequence[np.ndarray],
         cluster: ClusterSpec,
         encoded: Optional[EncodedTemplates] = None,
-        dtype: Optional[str] = None,
-        fused: bool = True,
     ) -> List[Recommendation]:
         """Rank several candidate knob matrices against one template set.
 
@@ -128,7 +118,8 @@ class KnobRecommender:
         *identical* shapes — so every query's tower forward must have
         exactly the shape a standalone :meth:`rank` over that list would
         issue.  That keeps each returned ranking bit-identical to the
-        standalone call, which the service benchmark gates on.
+        standalone call (``tests/serve/test_http.py`` checks the daemon's
+        coalesced rankings against direct library calls).
 
         Each list's ``overhead_s`` runs from the end of the previous list
         (the first from the call's start, so an inline encode is charged
@@ -157,9 +148,7 @@ class KnobRecommender:
                 matrix = canonical_matrix(candidates)
                 numeric = numeric_feature_rows(matrix, data_features, env)
                 n_rows += int(numeric.shape[0])
-                per_stage = self.estimator.predict_encoded(
-                    encoded, numeric, dtype=dtype, fused=fused
-                )
+                per_stage = self.estimator.predict_encoded(encoded, numeric)
                 out.append(self._build(matrix, per_stage.sum(axis=1), start))
                 start = time.perf_counter()
             if sp:

@@ -23,50 +23,25 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = [
-    "DEFAULT_SERVING_DTYPE",
-    "SUPPORTED_DTYPES",
-    "TowerSnapshot",
-    "cast_array",
-    "resolve_dtype",
-]
+__all__ = ["DTYPE_REL_ERR_BOUND", "TowerSnapshot", "cast_array"]
 
-#: float32 is the serving default (the opt-out is ``serving_dtype="float64"``
-#: in :class:`~repro.core.necs.NECSConfig`): the equivalence contract —
-#: identical top-k rankings, bounded relative error — is gated in
-#: ``BENCH_serving.json`` and the dtype test suite.
-DEFAULT_SERVING_DTYPE = "float32"
-SUPPORTED_DTYPES = ("float32", "float64")
-
-_NUMPY_DTYPES = {"float32": np.float32, "float64": np.float64}
+#: Max relative error the float32 tower may show against the float64
+#: taped forward (the test oracle); rankings may differ only between
+#: candidates whose float64 totals lie within this bound of each other.
+DTYPE_REL_ERR_BOUND = 1e-5
 
 
-def resolve_dtype(name: Optional[str]) -> str:
-    """Validate a serving-dtype name, defaulting ``None`` to float32."""
-    if name is None:
-        return DEFAULT_SERVING_DTYPE
-    if name not in _NUMPY_DTYPES:
-        raise ValueError(
-            f"unsupported serving dtype {name!r}; expected one of {SUPPORTED_DTYPES}"
-        )
-    return name
-
-
-def cast_array(arr: Optional[np.ndarray], name: str) -> Optional[np.ndarray]:
-    """Cast to the serving dtype; float64 is a zero-copy passthrough."""
+def cast_array(arr: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    """Cast to the float32 serving dtype (``None`` passes through)."""
     if arr is None:
         return None
-    dtype = _NUMPY_DTYPES[resolve_dtype(name)]
-    if arr.dtype == dtype:
-        return arr
-    return np.ascontiguousarray(arr, dtype=dtype)
+    return np.ascontiguousarray(arr, dtype=np.float32)
 
 
 class TowerSnapshot:
-    """Inference-ready copy of a tower MLP at one model version.
+    """Inference-ready float32 copy of a tower MLP at one model version.
 
-    Holds ``(weight, bias, activation)`` triples in the serving dtype —
-    zero-copy references for float64, cast copies for float32 — plus a
+    Holds ``(weight, bias, activation)`` triples cast to float32, plus a
     thread-local scratch-buffer dict for the fused kernel, so concurrent
     ranking threads never share output buffers.  Instances are immutable
     after construction; staleness is detected by comparing ``version``
@@ -74,13 +49,10 @@ class TowerSnapshot:
     benign — any freshly built snapshot for the current version is valid).
     """
 
-    def __init__(self, mlp, dtype_name: str, version: int):
-        self.dtype_name = resolve_dtype(dtype_name)
+    def __init__(self, mlp, version: int):
         self.version = version
         self.layers = [
-            (cast_array(weight, self.dtype_name),
-             cast_array(bias, self.dtype_name),
-             activation)
+            (cast_array(weight), cast_array(bias), activation)
             for weight, bias, activation in mlp.inference_layers()
         ]
         self._scratch = threading.local()
@@ -94,10 +66,6 @@ class TowerSnapshot:
             buffers = {}
             self._scratch.buffers = buffers
         out = fused_forward(self.layers, feats, buffers)
-        # The fused output aliases scratch memory; the float64 cast (or
-        # copy, when already float64) hands the caller an owned array.
+        # The fused output aliases scratch memory; the float64 cast hands
+        # the caller an owned array.
         return np.array(out, dtype=np.float64)
-
-    def cast_features(self, arr: np.ndarray) -> np.ndarray:
-        """Bring a feature block into the snapshot's dtype."""
-        return cast_array(arr, self.dtype_name)

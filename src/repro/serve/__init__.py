@@ -25,7 +25,7 @@ Two rejection layers keep latency bounded: global admission control
 (:mod:`~repro.serve.quota`, ``quota_rps``/``quota_burst`` → 429), both
 with honest ``Retry-After`` headers.
 
-Start it with ``repro serve``; benchmark it with ``repro bench-service``.
+Start it with ``repro serve``; ``bench/run.py`` measures it end to end.
 """
 
 from .audit import AuditLog

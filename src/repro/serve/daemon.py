@@ -21,12 +21,21 @@ Request semantics:
 - a request carrying an explicit ``seed`` is fully deterministic:
   the daemon answers with bit-identical rankings to a direct
   ``LITE.recommend(..., rng=get_rng(seed))`` call, however requests
-  interleave (``repro bench-service`` gates on exactly this).
+  interleave (``tests/serve/test_http.py`` checks exactly this);
+- a request body is at most :data:`MAX_BODY_BYTES`: a larger
+  ``Content-Length`` is 413 and a malformed one 400, and both close the
+  connection, since the unread body would otherwise be parsed as the
+  next request;
+- JSON bodies never carry a bare ``NaN`` or ``Infinity``: a
+  recommendation holding a non-finite number is answered 500 with the
+  reason, and an undefined statistic in a stats or feedback body (a
+  drift window with no pairs yet) is written as ``null``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 import threading
 import time
@@ -65,8 +74,31 @@ _TRACE_ID_RE = re.compile(r"^[A-Za-z0-9._-]{1,64}$")
 _NO_TENANT = "__none__"
 
 #: Audit-log decision per rejection status (everything < 400 is "ok").
-_DECISIONS = {400: "invalid", 404: "unknown_tenant", 429: "quota_rejected",
-              503: "shed"}
+_DECISIONS = {400: "invalid", 404: "unknown_tenant", 413: "too_large",
+              429: "quota_rejected", 503: "shed"}
+
+#: Largest request body the daemon reads.  A recommend or feedback body
+#: is well under 1 KB; the cap stops one request from holding a handler
+#: thread (and its buffer) for as many bytes as it cares to declare.
+MAX_BODY_BYTES = 1 << 20
+
+_CONTENT_LENGTH_RE = re.compile(r"^[0-9]+$")
+
+
+def _encode(body: Dict[str, object]) -> bytes:
+    """Strict JSON: raises ``ValueError`` on NaN or infinity."""
+    return json.dumps(body, allow_nan=False).encode("utf-8")
+
+
+def _undefined_as_null(obj):
+    """``obj`` with every NaN or infinite float replaced by ``None``."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _undefined_as_null(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_undefined_as_null(value) for value in obj]
+    return obj
 
 
 @dataclass
@@ -248,6 +280,7 @@ class LiteService:
                         query = RecommendQuery(feats, n_candidates, rng)
                         key = (tenant, app, cluster.name)
                         try:
+                            lite.check_query(query, cluster)
                             rec = self.batcher.submit(
                                 key, query,
                                 lambda queries: lite.recommend_many(
@@ -420,13 +453,27 @@ class _RequestHandler(BaseHTTPRequestHandler):
     # waits for the ACK of the headers, which a keep-alive client delays
     # by ~40 ms; TCP_NODELAY sends the body at once.
     disable_nagle_algorithm = True
+    #: Set when the request's body was left unread; the response then
+    #: closes the connection.
+    _drop_connection = False
 
     # -- plumbing ---------------------------------------------------------
     def log_message(self, format, *args):   # noqa: A002 - stdlib signature
         pass   # request logging goes through obs counters, not stderr
 
     def _read_json(self) -> Dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        declared = (self.headers.get("Content-Length") or "0").strip()
+        if not _CONTENT_LENGTH_RE.match(declared):
+            self._drop_connection = True
+            raise ServiceError(
+                400, f"malformed Content-Length {declared[:32]!r}; expected a "
+                     "non-negative integer")
+        length = int(declared)
+        if length > MAX_BODY_BYTES:
+            self._drop_connection = True
+            raise ServiceError(
+                413, f"request body of {length} bytes exceeds the "
+                     f"{MAX_BODY_BYTES}-byte limit")
         raw = self.rfile.read(length) if length > 0 else b""
         if not raw:
             raise ServiceError(400, "empty request body; expected a JSON object")
@@ -438,8 +485,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
             raise ServiceError(400, "JSON body must be an object")
         return payload
 
-    def _send(self, status: int, body: Dict, headers: Optional[Dict[str, str]] = None) -> None:
-        data = json.dumps(body).encode("utf-8")
+    def _send(self, status: int, data: bytes, headers: Dict[str, str]) -> None:
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
@@ -512,6 +558,8 @@ class _RequestHandler(BaseHTTPRequestHandler):
                     body = {"error": exc.message}
                     if exc.retry_after is not None:
                         headers["Retry-After"] = str(exc.retry_after)
+                    if self._drop_connection:
+                        headers["Connection"] = "close"
                 except Exception as exc:   # pragma: no cover - systemic failure path
                     status = 500
                     body = {"error": f"{type(exc).__name__}: {exc}"}
@@ -519,6 +567,22 @@ class _RequestHandler(BaseHTTPRequestHandler):
                     sp.set(status=status)
         latency_s = time.perf_counter() - t0
         cache_hit = body.get("template_cache_hit") if isinstance(body, dict) else None
+        if text is None:
+            body["trace_id"] = trace_id
+            # A recommendation's numbers are predictions, so a non-finite
+            # one is a failure.  Elsewhere NaN marks an undefined statistic
+            # (a drift window with no pairs yet) and is written as null.
+            if route != "recommend":
+                body = _undefined_as_null(body)
+            try:
+                data = _encode(body)
+            except ValueError as exc:
+                status = 500
+                data = _encode({
+                    "error": f"response holds a non-finite number ({exc}); "
+                             "the model could not score this request",
+                    "trace_id": trace_id,
+                })
         self.service.observe_request(
             route=route,
             method=method,
@@ -533,8 +597,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
         if text is not None:
             self._send_text(status, text, PROM_CONTENT_TYPE, headers)
         else:
-            body["trace_id"] = trace_id
-            self._send(status, body, headers)
+            self._send(status, data, headers)
 
     def do_GET(self) -> None:
         self._dispatch("GET")

@@ -135,6 +135,32 @@ class TestRecommendValidation:
                 get_workload("PageRank").data_spec("valid").features(),
                 CLUSTER_C, n_candidates=-3)
 
+    def test_wrong_width_names_the_expected_width(self, trained_lite):
+        d = get_workload("PageRank").data_spec("valid").features()
+        with pytest.raises(ValueError, match="expects 4 values"):
+            trained_lite.recommend("PageRank", np.append(d, 1.0), CLUSTER_C)
+
+    @pytest.mark.parametrize("index", [0, 3])
+    def test_negative_data_feature_rejected(self, trained_lite, index):
+        # A negative row count made the log1p datasize feature NaN.
+        d = get_workload("PageRank").data_spec("valid").features()
+        d[index] = -d[index] - 1.0
+        with pytest.raises(ValueError, match=">= 0"):
+            trained_lite.recommend("PageRank", d, CLUSTER_C)
+
+    def test_n_candidates_capped(self, trained_lite):
+        from repro.core.lite import MAX_CANDIDATES, RecommendQuery
+
+        d = get_workload("PageRank").data_spec("valid").features()
+        with pytest.raises(ValueError, match=str(MAX_CANDIDATES)):
+            trained_lite.recommend("PageRank", d, CLUSTER_C,
+                                   n_candidates=MAX_CANDIDATES + 1)
+        # One bad query fails the whole library batch before any work.
+        with pytest.raises(ValueError, match="n_candidates"):
+            trained_lite.recommend_many("PageRank", [
+                RecommendQuery(d, 4), RecommendQuery(d, MAX_CANDIDATES + 1)],
+                CLUSTER_C)
+
     def test_recommend_many_matches_sequential_recommends(self, trained_lite):
         from repro.core.lite import RecommendQuery
 

@@ -141,12 +141,13 @@ class TestPersistenceFailureModes:
         self, tiny_lite, tmp_path
     ):
         import pickle
+        from dataclasses import fields
 
-        # A v5 build's NECSConfig predates serving_dtype; the frozen
-        # dataclass stores fields in __dict__, so aging one is deleting
-        # that attribute.
+        from repro.core.necs import NECSConfig
+
+        # The fields v6 added (and later builds removed again) are not in
+        # a v5 NECSConfig; a v5 estimator has no serving snapshot.
         clone = pickle.loads(pickle.dumps(tiny_lite))
-        object.__delattr__(clone.config.necs, "serving_dtype")
         if hasattr(clone.estimator, "_serving_snapshot"):
             del clone.estimator._serving_snapshot
         path = tmp_path / "v5.pkl"
@@ -154,7 +155,10 @@ class TestPersistenceFailureModes:
             {"format": "repro-lite", "version": 5, "lite": clone}))
         loaded = load_lite(path)
         cfg = loaded.config.necs
-        assert cfg.serving_dtype == "float32"
+        # Rebuilt with exactly the current field set, values kept.
+        assert cfg is not clone.config.necs
+        assert set(vars(cfg)) == {f.name for f in fields(NECSConfig)}
+        assert cfg == tiny_lite.config.necs
         # Both references must point at the one rebuilt config.
         assert loaded.estimator.config is cfg
         assert loaded.estimator._serving_snapshot is None
@@ -172,12 +176,15 @@ class TestPersistenceFailureModes:
 
         import repro
 
-        # A v8 checkpoint written before the data-parallel engine and the
-        # reference-path flags were deleted still carries those fields in
-        # its NECSConfig's __dict__.  They must be inert.
+        # A v8 checkpoint written before the data-parallel engine, the
+        # reference-path flags and the float64 serving switch were deleted
+        # still carries those fields in its NECSConfig's __dict__.  They
+        # must be inert: a tenant saved with serving_dtype="float64" now
+        # serves the float32 tower like every other.
         clone = pickle.loads(pickle.dumps(tiny_lite))
         stale = {"train_workers": 2, "train_shard_rows": 16,
-                 "dedup_templates": False, "batched_gcn": False}
+                 "dedup_templates": False, "batched_gcn": False,
+                 "serving_dtype": "float64"}
         for name, value in stale.items():
             object.__setattr__(clone.config.necs, name, value)
         stale_path = save_lite(clone, tmp_path / "stale.pkl")

@@ -29,7 +29,7 @@ from repro.sparksim.config import KNOB_HIGHS, KNOB_LOWS, canonical_matrix
 from repro.sparksim.costmodel import SparkJobError, plan_executors
 from repro.utils.rng import get_rng
 from repro.workloads import get_workload
-from tests.necs_oracle import rank_per_instance
+from tests.necs_oracle import rank_per_instance, rank_taped
 
 
 @pytest.fixture(scope="module")
@@ -56,16 +56,15 @@ def pagerank_setup(served_lite):
 
 class TestFastPathEquivalence:
     def test_bit_identical_ranking(self, served_lite, pagerank_setup):
-        # dtype pinned to float64: the fused float64 kernel is bit-identical
-        # to the taped reference, so the old exact-equality gate still holds.
-        # The float32 serving default's (looser) contract is covered by
+        # The taped float64 forward over the template cache must equal the
+        # per-instance path exactly.  The float32 serving tower's (looser)
+        # contract against this oracle is covered by
         # tests/core/test_serving_dtype.py.
         wl, data, candidates = pagerank_setup
         templates = served_lite.stage_templates(wl.name)
-        fast = served_lite.recommender.rank(
-            templates, candidates, data, CLUSTER_C,
-            encoded=served_lite.encoded_templates(wl.name),
-            dtype="float64",
+        fast = rank_taped(
+            served_lite.recommender, candidates, data, CLUSTER_C,
+            served_lite.encoded_templates(wl.name),
         )
         ref = rank_per_instance(
             served_lite.recommender, templates, candidates, data, CLUSTER_C

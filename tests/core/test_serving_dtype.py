@@ -2,15 +2,15 @@
 
 Three layers of guarantee, strongest first:
 
-- fused float64 == taped float64, *bit for bit* — the fused kernel runs
-  the same matmul/add/activation sequence without building a tape;
-- float32 vs float64 ``predict_encoded``: bounded relative error, and
-  the same ranking except between candidates whose float64 totals are
-  within that bound (the dtype-equivalence contract the serving
-  benchmark gates on);
+- the fused kernel in float64 == the taped forward, *bit for bit* — it
+  runs the same matmul/add/activation sequence without building a tape;
+- float32 ``predict_encoded`` vs the taped float64 oracle
+  (``tests/necs_oracle.py``): bounded relative error, and the same
+  ranking except between candidates whose float64 totals are within that
+  bound (the dtype-equivalence contract);
 - plumbing: snapshot invalidation on version bumps, cast-cache reuse,
-  pickle safety (thread-local scratch buffers must not leak into
-  checkpoints), and explicit-dtype validation.
+  and pickle safety (thread-local scratch buffers must not leak into
+  checkpoints).
 """
 
 import pickle
@@ -21,16 +21,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.core.instances import numeric_feature_rows
-from repro.core.serving_dtype import (
-    DEFAULT_SERVING_DTYPE,
-    TowerSnapshot,
-    cast_array,
-    resolve_dtype,
-)
-from repro.experiments.serving_bench import DTYPE_REL_ERR_BOUND
+from repro.core.serving_dtype import DTYPE_REL_ERR_BOUND, TowerSnapshot, cast_array
 from repro.nn.fused import fused_forward
 from repro import nn
 from repro.utils.rng import get_rng
+from tests.necs_oracle import predict_encoded_taped
 
 N_FEATURES = 26   # knobs + data + env width used by the test corpus
 
@@ -46,19 +41,13 @@ def _rows(seed, n=10):
     return np.abs(rng.normal(size=(n, N_FEATURES))) + 0.01
 
 
-class TestResolveDtype:
-    def test_default(self):
-        assert resolve_dtype(None) == DEFAULT_SERVING_DTYPE
-
-    def test_unknown_rejected(self):
-        with pytest.raises(ValueError, match="float16"):
-            resolve_dtype("float16")
-
-    def test_cast_array_is_noop_for_float64(self):
-        arr = np.ones(3)
-        assert cast_array(arr, "float64") is arr
-        assert cast_array(None, "float32") is None
-        assert cast_array(arr, "float32").dtype == np.float32
+class TestCastArray:
+    def test_casts_to_float32_and_passes_none(self):
+        arr = np.ones((3, 2))[:, :1]
+        cast = cast_array(arr)
+        assert cast.dtype == np.float32 and cast.flags.c_contiguous
+        np.testing.assert_array_equal(cast, arr)
+        assert cast_array(None) is None
 
 
 class TestFusedKernel:
@@ -90,14 +79,8 @@ class TestFusedKernel:
 
 
 class TestPredictEncodedEquivalence:
-    def test_fused_float64_bit_identical_to_taped(self, fitted_necs, encoded):
-        rows = _rows(0)
-        taped = fitted_necs.predict_encoded(encoded, rows, fused=False)
-        fused = fitted_necs.predict_encoded(encoded, rows, dtype="float64")
-        np.testing.assert_array_equal(taped, fused)
-
     def test_float32_output_is_float64(self, fitted_necs, encoded):
-        out = fitted_necs.predict_encoded(encoded, _rows(1), dtype="float32")
+        out = fitted_necs.predict_encoded(encoded, _rows(1))
         assert out.dtype == np.float64
 
     @settings(max_examples=20, deadline=None)
@@ -106,8 +89,8 @@ class TestPredictEncodedEquivalence:
     @example(seed=2333)
     def test_float32_topk_and_rel_error(self, fitted_necs, encoded, seed):
         rows = _rows(seed, n=12)
-        full = fitted_necs.predict_encoded(encoded, rows, dtype="float64")
-        fast = fitted_necs.predict_encoded(encoded, rows, dtype="float32")
+        full = predict_encoded_taped(fitted_necs, encoded, rows)
+        fast = fitted_necs.predict_encoded(encoded, rows)
         # Same ranking by total predicted time, except that float32 may
         # swap candidates whose float64 totals are within the dtype bound.
         total = full.sum(axis=1)
@@ -117,21 +100,7 @@ class TestPredictEncodedEquivalence:
         tied = np.abs(a - b) <= DTYPE_REL_ERR_BOUND * np.maximum(np.abs(a), np.abs(b))
         assert np.all((order64 == order32) | tied), (order64, order32)
         rel = np.abs(fast - full) / np.maximum(np.abs(full), 1e-30)
-        assert rel.max() < 1e-5
-
-    def test_explicit_float32_with_taped_path_rejected(self, fitted_necs, encoded):
-        with pytest.raises(ValueError, match="fused"):
-            fitted_necs.predict_encoded(
-                encoded, _rows(2), dtype="float32", fused=False
-            )
-
-    def test_config_dtype_is_the_default(self, fitted_necs, encoded):
-        assert fitted_necs.config.serving_dtype == "float32"
-        rows = _rows(3)
-        np.testing.assert_array_equal(
-            fitted_necs.predict_encoded(encoded, rows),
-            fitted_necs.predict_encoded(encoded, rows, dtype="float32"),
-        )
+        assert rel.max() < DTYPE_REL_ERR_BOUND
 
 
 class TestSnapshotLifecycle:
@@ -157,10 +126,10 @@ class TestSnapshotLifecycle:
             est.predict_encoded(enc, _rows(7))
 
     def test_cast_cache_filled_once(self, fitted_necs, encoded):
-        fitted_necs.predict_encoded(encoded, _rows(8), dtype="float32")
+        fitted_necs.predict_encoded(encoded, _rows(8))
         h32 = encoded.h_code_cast
         assert h32 is not None and h32.dtype == np.float32
-        fitted_necs.predict_encoded(encoded, _rows(9), dtype="float32")
+        fitted_necs.predict_encoded(encoded, _rows(9))
         assert encoded.h_code_cast is h32
 
     def test_estimator_pickles_with_live_snapshot(
@@ -185,7 +154,7 @@ class TestSnapshotLifecycle:
 class TestTowerSnapshotThreading:
     def test_concurrent_forwards_are_consistent(self):
         mlp = nn.MLP(6, 12, 1, depth=2, rng=get_rng(7))
-        snap = TowerSnapshot(mlp, "float32", version=0)
+        snap = TowerSnapshot(mlp, version=0)
         x = get_rng(8).normal(size=(16, 6))
         expected = snap.forward(x)
         results = [None] * 8

@@ -7,9 +7,9 @@ and adaptive-update loops reuse the production ``NECSNetwork``,
 ``nn.Adam``, ``get_rng`` streams and ``DomainDiscriminator``, and differ
 from ``NECSEstimator.fit`` / ``AdaptiveModelUpdater.update`` only in that
 feature path.  The engine's template-deduplicated, packed-GCN trajectory
-can therefore be checked against them epoch by epoch, and the benchmarks
-time them as the pre-batching baseline.  Nothing under ``src/`` imports
-this module.
+can therefore be checked against them epoch by epoch.  The taped float64
+serving forward lives here too, as the reference for the float32 fused
+tower.  Nothing under ``src/`` imports this module.
 """
 
 from __future__ import annotations
@@ -20,12 +20,12 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import nn
-from repro.core.instances import StageInstance
-from repro.core.necs import NECSEstimator, NECSNetwork
+from repro.core.instances import StageInstance, numeric_feature_rows
+from repro.core.necs import EncodedTemplates, NECSEstimator, NECSNetwork
 from repro.core.recommender import KnobRecommender, Recommendation, retarget_instances
 from repro.core.update import DomainDiscriminator, UpdateConfig
 from repro.sparksim.cluster import ClusterSpec
-from repro.sparksim.config import SparkConf
+from repro.sparksim.config import SparkConf, canonical_matrix
 from repro.utils.rng import get_rng
 
 Graphs = Optional[List[Tuple[np.ndarray, np.ndarray]]]
@@ -220,6 +220,41 @@ def update(
 # ----------------------------------------------------------------------
 # Ranking
 # ----------------------------------------------------------------------
+def predict_encoded_taped(
+    est: NECSEstimator, encoded: EncodedTemplates, numeric_rows: np.ndarray
+) -> np.ndarray:
+    """``NECSEstimator.predict_encoded`` in float64 through the autograd
+    tape: the serving forward before the float32 fused tower, and the
+    reference its bounded-error contract is stated against."""
+    h_code, h_dag = est.template_embeddings(encoded)
+    numeric = est.numeric_scaler.transform(np.asarray(numeric_rows, dtype=np.float64))
+    n, s = numeric.shape[0], encoded.n_stages
+    parts = [np.repeat(numeric, s, axis=0)]
+    if h_code is not None:
+        parts.append(np.tile(h_code, (n, 1)))
+    if h_dag is not None:
+        parts.append(np.tile(h_dag, (n, 1)))
+    with est._eval_mode():
+        out = est.network.mlp(nn.Tensor(np.concatenate(parts, axis=1))).numpy()
+    return np.expm1(out.reshape(n, s) * est._y_std + est._y_mean)
+
+
+def rank_taped(
+    recommender: KnobRecommender,
+    candidates: np.ndarray,
+    data_features: np.ndarray,
+    cluster: ClusterSpec,
+    encoded: EncodedTemplates,
+) -> Recommendation:
+    """``KnobRecommender.rank`` with :func:`predict_encoded_taped` as the
+    forward."""
+    start = time.perf_counter()
+    matrix = canonical_matrix(candidates)
+    numeric = numeric_feature_rows(matrix, data_features, cluster.feature_vector())
+    per_stage = predict_encoded_taped(recommender.estimator, encoded, numeric)
+    return recommender._build(matrix, per_stage.sum(axis=1), start)
+
+
 def rank_per_instance(
     recommender: KnobRecommender,
     templates: Sequence[StageInstance],

@@ -5,17 +5,26 @@ lifecycle: train/serve/feedback/update *plus* fault injection and retry —
 once with tracing enabled and checks the result against the full taxonomy
 in :mod:`repro.obs.names`.  A new instrumentation site whose name is
 added to the taxonomy but never wired up (or vice versa) fails here, not
-in production.  The fault-free lifecycle keeps its own fixture for the
-``repro stats`` semantics, which assert exact trigger counts chaos
-deliberately exceeds.
+in production.  The ``serve.*``/``slo.*`` names fire in a traced
+scenario on an in-process daemon instead (:func:`_service_scenario`).
+The fault-free lifecycle keeps its own fixture for the ``repro stats``
+semantics, which assert exact trigger counts chaos deliberately exceeds.
 """
 
 from __future__ import annotations
+
+import json
+import re
+import threading
+import urllib.error
+import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro import obs
 from repro.obs import names as obsn
+from repro.workloads import get_workload
 
 
 @pytest.fixture(scope="module")
@@ -62,15 +71,116 @@ def chaos():
     return captured
 
 
-@pytest.fixture(scope="module")
-def service():
-    """One traced smoke service benchmark — fires every ``serve.*`` name."""
-    from repro.experiments.service_bench import run_service_benchmark
+def _post(port, path, payload):
+    req = urllib.request.Request(
+        f"http://127.0.0.1:{port}{path}", data=json.dumps(payload).encode(),
+        method="POST", headers={"Content-Type": "application/json"})
+    try:
+        with urllib.request.urlopen(req, timeout=60) as resp:
+            return resp.status
+    except urllib.error.HTTPError as err:
+        return err.code
 
+
+def _get(port, path):
+    with urllib.request.urlopen(f"http://127.0.0.1:{port}{path}", timeout=60) as resp:
+        return resp.status, resp.read().decode()
+
+
+#: One sample line of Prometheus text exposition.
+_PROM_SAMPLE = re.compile(
+    r"^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^{}]*\})? [+-]?(Inf|NaN|[0-9.eE+-]+)$"
+)
+
+
+def _service_scenario(root):
+    """Drive an in-process daemon through every ``serve.*`` / ``slo.*`` site.
+
+    Two checkpoint tenants behind a one-tenant registry (so switching
+    tenant evicts), an audit log, quotas on, and four in-flight slots.
+    A coalesced burst is made deterministic by marking the batch key as
+    running, so four recommends queue into one open batch; with all four
+    slots held, a fifth request is shed with 503, which must put the
+    availability SLO into alerting.  Returns the outcome of every step
+    under ``checks``.
+    """
+    from repro.core.persistence import save_lite
+    from repro.experiments.serving_bench import build_serving_lite
+    from repro.serve import LiteService, ModelRegistry, ServiceConfig, make_server
+
+    tenants = {
+        name: save_lite(build_serving_lite(smoke=True, seed=seed), root / f"{name}.pkl")
+        for name, seed in (("acme", 0), ("globex", 1))
+    }
+    burst, quota_burst = 4, 8
+    service = LiteService(ModelRegistry(tenants, max_tenants=1), ServiceConfig(
+        max_inflight=burst, quota_rps=1e-3, quota_burst=quota_burst,
+        audit_log=str(root / "audit.jsonl")))
+    server = make_server(service)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    port = server.server_address[1]
+    feats = get_workload("PageRank").data_spec("valid").features().tolist()
+
+    def recommend(tenant, seed):
+        return _post(port, "/v1/recommend", {
+            "tenant": tenant, "app": "PageRank", "data_features": feats,
+            "n_candidates": 6, "seed": seed})
+
+    checks = {}
+    try:
+        checks["health"] = _get(port, "/v1/health")[0] == 200
+        checks["recommend"] = recommend("acme", 0) == 200
+        checks["feedback"] = _post(port, "/v1/feedback", {
+            "tenant": "acme", "app": "PageRank", "scale": "train0"}) == 200
+
+        batcher, key = service.batcher, ("acme", "PageRank", "C")
+        with batcher._lock:
+            batcher._running.add(key)
+        with ThreadPoolExecutor(max_workers=burst) as pool:
+            try:
+                futures = [pool.submit(recommend, "acme", 10 + i) for i in range(burst)]
+                queued = threading.Event()   # never set: wait() is a bounded pause
+                for _ in range(3000):
+                    with batcher._lock:
+                        open_batch = batcher._open.get(key)
+                        if open_batch is not None and len(open_batch.items) == burst:
+                            break
+                    queued.wait(0.01)
+                checks["overload_shed"] = recommend("acme", 20) == 503
+            finally:
+                with batcher._lock:
+                    batcher._running.discard(key)
+                    batcher._lock.notify_all()
+            checks["coalesced_burst"] = all(f.result() == 200 for f in futures)
+
+        checks["eviction"] = recommend("globex", 0) == 200
+        statuses = [recommend("globex", 30 + i) for i in range(quota_burst)]
+        checks["quota_429"] = 429 in statuses
+        status, text = _get(port, "/v1/stats")
+        checks["stats"] = status == 200
+        checks["slo_alert_after_shed"] = (
+            "availability" in json.loads(text)["slo"]["alerting"])
+        status, text = _get(port, "/v1/metrics")
+        samples = [l for l in text.splitlines() if l and not l.startswith("#")]
+        checks["metrics_exposition_valid"] = status == 200 and bool(samples) and all(
+            _PROM_SAMPLE.match(line) for line in samples)
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+        service.close()
+    return {"checks": checks, "ok": all(checks.values())}
+
+
+@pytest.fixture(scope="module")
+def service(tmp_path_factory):
+    """One traced daemon scenario — fires every ``serve.*``/``slo.*`` name."""
+    root = tmp_path_factory.mktemp("service-coverage")
     obs.reset()
     obs.enable_tracing()
     try:
-        summary = run_service_benchmark(smoke=True, seed=0, out=None)
+        summary = _service_scenario(root)
     finally:
         obs.disable_tracing()
     captured = {
@@ -83,7 +193,7 @@ def service():
 
 
 #: Two-way partition of the taxonomy by firing harness: the serving
-#: daemon's (and its SLO monitor's) names fire in the service benchmark,
+#: daemon's (and its SLO monitor's) names fire in the service scenario,
 #: everything else in the chaos lifecycle.  The union covers the taxonomy.
 def _bucket(name: str) -> str:
     if name.startswith(("serve.", "slo.")):
@@ -165,6 +275,7 @@ class TestServiceNameCoverage:
             assert name in snap and snap[name]["count"] > 0, name
 
     def test_benchmark_passes_its_own_gates(self, service):
+        # Every scenario step answered the status it was built to provoke.
         assert service["summary"]["ok"], service["summary"]["checks"]
 
 

@@ -237,3 +237,96 @@ class TestErrorStatuses:
             srv.shutdown()
             srv.server_close()
             thread.join(timeout=5)
+
+
+def _strict_json(raw):
+    """Parse JSON that must not hold NaN or infinities."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(raw, parse_constant=reject)
+
+
+def _availability_bad(server):
+    slo = server.RequestHandlerClass.service.slo.snapshot()
+    return slo["slos"]["availability"]["bad_total"]
+
+
+class TestRequestBounds:
+    """What one request may declare or ask for, and what a response may hold."""
+
+    @pytest.mark.parametrize("declared", ["abc", "-5", "1.5", "99999999999999999999"])
+    def test_bad_content_length_is_a_client_error(self, server, declared):
+        conn = http.client.HTTPConnection("127.0.0.1", server.server_address[1],
+                                          timeout=30)
+        try:
+            conn.putrequest("POST", "/v1/recommend")
+            conn.putheader("Content-Type", "application/json")
+            conn.putheader("Content-Length", declared)
+            conn.endheaders()
+            resp = conn.getresponse()
+            body = _strict_json(resp.read())
+        finally:
+            conn.close()
+        # Above the 1 MiB cap is 413; anything that is not a
+        # non-negative integer is 400.  Either way the unread body must
+        # not be parsed as a next request, so the connection closes.
+        assert resp.status == (413 if declared.isdigit() else 400), body
+        assert "Content-Length" in body["error"] or "limit" in body["error"]
+        assert resp.getheader("Connection") == "close"
+        assert _availability_bad(server) == 0
+        status, _, _ = _request(server, "POST", "/v1/recommend", _recommend_payload())
+        assert status == 200
+
+    def test_body_over_the_cap_is_413(self, server):
+        from repro.serve.daemon import MAX_BODY_BYTES
+
+        conn = http.client.HTTPConnection("127.0.0.1", server.server_address[1],
+                                          timeout=30)
+        try:
+            conn.putrequest("POST", "/v1/recommend")
+            conn.putheader("Content-Length", str(MAX_BODY_BYTES + 1))
+            conn.endheaders()
+            resp = conn.getresponse()
+            body = _strict_json(resp.read())
+        finally:
+            conn.close()
+        assert resp.status == 413
+        assert str(MAX_BODY_BYTES) in body["error"]
+        assert _availability_bad(server) == 0
+
+    @pytest.mark.parametrize("over, needle", [
+        ({"data_features": [-1e6, 2.0, 0.0, 8.0]}, ">= 0"),
+        ({"data_features": [1e6, 2.0, 0.0, 8.0, 1.0]}, "expects 4 values"),
+        ({"n_candidates": 1001}, "1000"),
+    ])
+    def test_invalid_query_is_400_with_reason(self, server, over, needle):
+        status, body, _ = _request(
+            server, "POST", "/v1/recommend", _recommend_payload(**over))
+        assert status == 400, body
+        assert needle in body["error"]
+        assert _availability_bad(server) == 0
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_non_finite_prediction_is_500_in_valid_json(self, server):
+        # Finite, non-negative inputs this large overflow the float32
+        # tower; the response must say so, not carry a bare NaN.
+        url = f"http://127.0.0.1:{server.server_address[1]}/v1/recommend"
+        data = json.dumps(_recommend_payload(data_features=[1e300] * 4)).encode()
+        req = urllib.request.Request(url, data=data, method="POST")
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(req, timeout=30)
+        assert excinfo.value.code == 500
+        body = _strict_json(excinfo.value.read())
+        assert "non-finite" in body["error"]
+
+    def test_undefined_statistics_are_null(self, server):
+        # A loaded tenant with no feedback has an empty drift window,
+        # whose mean errors are NaN in the library.
+        status, _, _ = _request(server, "POST", "/v1/recommend", _recommend_payload())
+        assert status == 200
+        port = server.server_address[1]
+        with urllib.request.urlopen(f"http://127.0.0.1:{port}/v1/stats",
+                                    timeout=30) as resp:
+            body = _strict_json(resp.read())
+        assert body["drift"]["acme"]["aggregate"]["mean_abs_rel_err"] is None
